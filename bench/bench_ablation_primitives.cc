@@ -7,17 +7,28 @@
 //   * self-XOR tail vs hash tail (the enhanced scheme's §IV-B trick)
 //   * stub-size sweep: rekey payload vs storage overhead trade-off
 //
-//   ./bench_ablation_primitives [--benchmark_filter=...] [--json out.json]
-//   (--json X is shorthand for --benchmark_out=X --benchmark_out_format=json,
-//    matching the bench_fig* flag convention; --smoke caps iteration time)
+//   ./bench_ablation_primitives [--benchmark_filter=...] [--smoke]
+//                               [--json out.json]
+//   --smoke caps iteration time. --json writes the layer rows below in the
+//   bench_fig* JSON shape (bench_util.h JsonReporter), for
+//   tools/ci/bench_smoke.sh and BENCH_baseline.json:
+//     ablation_primitives/layers_pairing: tate_pairing_us, g1_scalar_mul_us,
+//                                         abe_encrypt_1_us, abe_decrypt_1_us
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "abe/cpabe.h"
 #include "aont/reed_cipher.h"
+#include "bench/bench_util.h"
 #include "chunk/chunker.h"
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
@@ -331,20 +342,51 @@ void BM_StubSizeSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_StubSizeSweep)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 
+// The pairing/CP-ABE layer rows gated in CI: google-benchmark run name →
+// JSON field (microseconds per operation).
+constexpr std::array<std::pair<const char*, const char*>, 4> kPairingLayer = {{
+    {"BM_TatePairing", "tate_pairing_us"},
+    {"BM_G1ScalarMul", "g1_scalar_mul_us"},
+    {"BM_AbeEncrypt/1", "abe_encrypt_1_us"},
+    {"BM_AbeDecrypt/1", "abe_decrypt_1_us"},
+}};
+
+// Console output as usual (colored only on a terminal), plus per-run real
+// time in microseconds.
+class CapturingReporter : public benchmark::ConsoleReporter {
+ public:
+  CapturingReporter()
+      : ConsoleReporter(isatty(STDOUT_FILENO) ? OO_Defaults : OO_Tabular) {}
+
+  void ReportRuns(const std::vector<Run>& reports) override {
+    for (const Run& run : reports) {
+      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
+      micros_[run.benchmark_name()] =
+          run.GetAdjustedRealTime() * 1e6 /
+          benchmark::GetTimeUnitMultiplier(run.time_unit);
+    }
+    ConsoleReporter::ReportRuns(reports);
+  }
+
+  const std::map<std::string, double>& micros() const { return micros_; }
+
+ private:
+  std::map<std::string, double> micros_;
+};
+
 }  // namespace
 
-// Custom main: translate the repo-wide --json/--smoke flags into
-// google-benchmark's native flags, then hand over to the library.
+// Custom main: translate the repo-wide --smoke flag into google-benchmark's
+// native flags, run, then emit the gated layer rows through JsonReporter.
 int main(int argc, char** argv) {
+  reed::bench::JsonReporter json("ablation_primitives", argc, argv);
   std::vector<std::string> args;
   args.emplace_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      args.emplace_back(std::string("--benchmark_out=") + argv[i + 1]);
-      args.emplace_back("--benchmark_out_format=json");
-      ++i;
+      ++i;  // consumed by JsonReporter
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
-      args.emplace_back("--benchmark_min_time=0.05s");
+      args.emplace_back("--benchmark_min_time=0.05");
     } else if (std::strcmp(argv[i], "--full") == 0) {
       // Default google-benchmark timing is already the "full" scale.
     } else {
@@ -357,7 +399,24 @@ int main(int argc, char** argv) {
   int cargc = static_cast<int>(cargs.size());
   benchmark::Initialize(&cargc, cargs.data());
   if (benchmark::ReportUnrecognizedArguments(cargc, cargs.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
+  CapturingReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+
+  if (!json.enabled()) return 0;
+  std::array<double, kPairingLayer.size()> us{};
+  for (std::size_t i = 0; i < kPairingLayer.size(); ++i) {
+    auto it = reporter.micros().find(kPairingLayer[i].first);
+    if (it == reporter.micros().end()) {
+      std::fprintf(stderr, "--json: %s did not run (check the filter)\n",
+                   kPairingLayer[i].first);
+      return 1;
+    }
+    us[i] = it->second;
+  }
+  json.Add("layers_pairing", {{kPairingLayer[0].second, us[0]},
+                              {kPairingLayer[1].second, us[1]},
+                              {kPairingLayer[2].second, us[2]},
+                              {kPairingLayer[3].second, us[3]}});
   return 0;
 }

@@ -149,10 +149,10 @@ std::optional<Fp2> CpAbe::DecryptNode(const PolicyNode& node,
     auto it = sk.components.find(node.attribute());
     if (it == sk.components.end()) return std::nullopt;
     const CiphertextLeaf& leaf = ct.leaves.at(idx);
-    // e(D_j, C_y) / e(D'_j, C'_y) = e(g,g)^{t·λ_y}
-    Fp2 num = pairing_->Pair(it->second.d, leaf.c);
-    Fp2 den = pairing_->Pair(it->second.d_prime, leaf.c_prime);
-    return num * den.Inverse();
+    // e(D_j, C_y) / e(D'_j, C'_y) = e(g,g)^{t·λ_y}, as a raw loop value:
+    // the quotient becomes a product with the loop for (−D'_j, C'_y).
+    return pairing_->MillerLoop(it->second.d, leaf.c) *
+           pairing_->MillerLoop(it->second.d_prime.Neg(), leaf.c_prime);
   }
 
   // Evaluate every child (leaf_index bookkeeping requires full traversal),
@@ -177,7 +177,7 @@ std::optional<Fp2> CpAbe::DecryptNode(const PolicyNode& node,
       den = BigInt::MulMod(den, diff, r);
     }
     BigInt lambda = BigInt::MulMod(num, BigInt::InverseMod(den, r), r);
-    result = result * fi.Pow(lambda);
+    result = result * (lambda.IsOne() ? fi : fi.Pow(lambda));
   }
   return result;
 }
@@ -187,16 +187,19 @@ std::optional<Fp2> CpAbe::DecryptElement(const PrivateKey& sk,
   std::size_t leaf_index = 0;
   std::optional<Fp2> a = DecryptNode(ct.policy, sk, ct, leaf_index);
   if (!a.has_value()) return std::nullopt;
-  // M = C̃ · A / e(C, D)
-  Fp2 e_cd = pairing_->Pair(ct.c, sk.d);
-  return ct.c_tilde * *a * e_cd.Inverse();
+  // M = C̃ · A / e(C, D), with one final exponentiation for the whole
+  // product of raw loop values.
+  return ct.c_tilde * pairing_->FinalExponentiation(
+                          *a * pairing_->MillerLoop(ct.c.Neg(), sk.d));
 }
 
 Secret CpAbe::EncryptBytes(const PublicKey& pk, const PolicyNode& policy,
                            const Secret& plaintext, crypto::Rng& rng) const {
-  // Random GT element via e(g,g)^z; its hash keys the symmetric layer.
+  // Random GT element (e(g,g)^α)^z; its hash keys the symmetric layer.
+  // e(g,g)^α generates GT (α ≠ 0 mod the prime r), so for uniform z this is
+  // uniform over the same set as e(g,g)^z, without computing a pairing.
   BigInt z = pairing_->RandomScalar(rng);
-  Fp2 m = pairing_->Pair(pk.g, pk.g).Pow(z);
+  Fp2 m = pk.e_gg_alpha.Pow(z);
   Ciphertext ct = EncryptElement(pk, m, policy, rng);
 
   Bytes kek = crypto::Sha256::HashToBytes(m.ToBytes());

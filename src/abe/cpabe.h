@@ -10,11 +10,13 @@
 //              per-node polynomials; C̃ = M·e(g,g)^{αs}, C = h^s, and per
 //              leaf y: C_y = g^{λ_y}, C'_y = H(att(y))^{λ_y}
 //   Decrypt:  pair leaf components, recombine shares in the exponent with
-//              Lagrange coefficients, divide out e(C, D).
+//              Lagrange coefficients, divide out e(C, D). All of this runs
+//              on raw Miller-loop values; one final exponentiation of their
+//              product yields the same GT element (it is a homomorphism).
 //
 // EncryptBytes/DecryptBytes add the standard hybrid layer: a random GT
-// element is ABE-encrypted and hashed into an AES-256-CTR + HMAC key pair
-// protecting the payload.
+// element (a power of e(g,g)^α from the public key) is ABE-encrypted and
+// hashed into an AES-256-CTR + HMAC key pair protecting the payload.
 #pragma once
 
 #include <map>
@@ -124,6 +126,8 @@ class CpAbe {
 
   void ShareSecret(const PolicyNode& node, const BigInt& value,
                    crypto::Rng& rng, std::vector<BigInt>& leaf_shares) const;
+  // The node's share e(g,g)^{t·q(0)} as a raw Miller-loop value, before the
+  // final exponentiation; nullopt when the key does not satisfy the node.
   std::optional<Fp2> DecryptNode(const PolicyNode& node, const PrivateKey& sk,
                                  const Ciphertext& ct,
                                  std::size_t& leaf_index) const;

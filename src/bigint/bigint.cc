@@ -49,6 +49,13 @@ BigInt BigInt::FromBytes(ByteSpan be) {
   return out;
 }
 
+BigInt BigInt::FromLimbs(std::span<const u64> limbs) {
+  BigInt out;
+  out.limbs_.assign(limbs.begin(), limbs.end());
+  out.Normalize();
+  return out;
+}
+
 std::string BigInt::ToHex() const {
   if (limbs_.empty()) return "0";
   static const char* digits = "0123456789abcdef";
@@ -434,63 +441,40 @@ BigInt BigInt::RandomBits(crypto::Rng& rng, std::size_t bits) {
 // Montgomery
 // ---------------------------------------------------------------------------
 
+u64 MontNPrime(u64 n0) {
+  // Newton–Hensel lifting doubles the correct low bits each step.
+  u64 inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
+  return ~inv + 1;  // -inv mod 2^64
+}
+
 Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
   if (!n_.IsOdd() || n_.IsOne()) {
     throw Error("Montgomery: modulus must be odd and > 1");
   }
   k_ = n_.LimbCount();
-  // n' = -n^{-1} mod 2^64 by Newton–Hensel lifting.
-  u64 n0 = n_.Limb(0);
-  u64 inv = 1;
-  for (int i = 0; i < 6; ++i) inv *= 2 - n0 * inv;
-  n_prime_ = ~inv + 1;  // -inv mod 2^64
-
+  n_prime_ = MontNPrime(n_.Limb(0));
   r_mod_n_ = (BigInt(1) << (64 * k_)) % n_;
   r2_mod_n_ = (BigInt(1) << (128 * k_)) % n_;
 }
 
+void Montgomery::Pad(const BigInt& a, std::span<u64> out) const {
+  if (a.limbs_.size() > k_) throw Error("Montgomery: operand wider than n");
+  std::fill(out.begin(), out.end(), u64{0});
+  std::copy(a.limbs_.begin(), a.limbs_.end(), out.begin());
+}
+
 BigInt Montgomery::MulMont(const BigInt& a, const BigInt& b) const {
-  // SOS: full product then Montgomery reduction.
-  std::vector<u64> t(2 * k_ + 1, 0);
-  // t = a * b
-  for (std::size_t i = 0; i < a.LimbCount(); ++i) {
-    u64 carry = 0;
-    u64 ai = a.Limb(i);
-    for (std::size_t j = 0; j < b.LimbCount(); ++j) {
-      u128 cur = static_cast<u128>(ai) * b.Limb(j) + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    std::size_t idx = i + b.LimbCount();
-    while (carry) {
-      u128 cur = static_cast<u128>(t[idx]) + carry;
-      t[idx] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-      ++idx;
-    }
-  }
-  // Reduce limb by limb.
-  for (std::size_t i = 0; i < k_; ++i) {
-    u64 m = t[i] * n_prime_;
-    u64 carry = 0;
-    for (std::size_t j = 0; j < k_; ++j) {
-      u128 cur = static_cast<u128>(m) * n_.Limb(j) + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    std::size_t idx = i + k_;
-    while (carry) {
-      u128 cur = static_cast<u128>(t[idx]) + carry;
-      t[idx] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-      ++idx;
-    }
-  }
-  BigInt result;
-  result.limbs_.assign(t.begin() + static_cast<std::ptrdiff_t>(k_), t.end());
-  result.Normalize();
-  if (result >= n_) result -= n_;
-  return result;
+  std::vector<u64> buf(3 * k_ + 1);  // a | b | scratch
+  std::span<u64> as(buf.data(), k_), bs(buf.data() + k_, k_);
+  Pad(a, as);
+  Pad(b, bs);
+  BigInt out;
+  out.limbs_.resize(k_);
+  MontMul(out.limbs_, as, bs, n_.limbs_, n_prime_,
+          std::span<u64>(buf.data() + 2 * k_, k_ + 1));
+  out.Normalize();
+  return out;
 }
 
 BigInt Montgomery::ToMont(const BigInt& a) const {
@@ -507,12 +491,18 @@ BigInt Montgomery::Mul(const BigInt& a, const BigInt& b) const {
 }
 
 BigInt Montgomery::PowMont(const BigInt& base_mont, const BigInt& exp) const {
-  BigInt result = r_mod_n_;  // 1 in Montgomery form
+  // One buffer for the whole ladder: acc | base | scratch.
+  std::vector<u64> buf(3 * k_ + 1);
+  std::span<u64> acc(buf.data(), k_), base(buf.data() + k_, k_);
+  std::span<u64> scratch(buf.data() + 2 * k_, k_ + 1);
+  Pad(r_mod_n_, acc);  // 1 in Montgomery form
+  Pad(base_mont, base);
+  std::span<const u64> n = n_.limbs_;
   for (std::size_t i = exp.BitLength(); i-- > 0;) {
-    result = MulMont(result, result);
-    if (exp.Bit(i)) result = MulMont(result, base_mont);
+    MontMul(acc, acc, acc, n, n_prime_, scratch);
+    if (exp.Bit(i)) MontMul(acc, acc, base, n, n_prime_, scratch);
   }
-  return result;
+  return BigInt::FromLimbs(acc);
 }
 
 BigInt Montgomery::Pow(const BigInt& base, const BigInt& exp) const {

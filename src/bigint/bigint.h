@@ -10,6 +10,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,8 @@ class BigInt {
   // Hex parsing/printing (no 0x prefix); bytes are big-endian.
   static BigInt FromHex(std::string_view hex);
   static BigInt FromBytes(ByteSpan be_bytes);
+  // Little-endian limbs; high zero limbs are dropped.
+  static BigInt FromLimbs(std::span<const std::uint64_t> limbs);
   std::string ToHex() const;
   Bytes ToBytes() const;                  // minimal big-endian encoding
   Bytes ToBytesPadded(std::size_t n) const;  // left-padded to n bytes
@@ -104,9 +107,69 @@ inline BigInt BigInt::operator%(const BigInt& d) const {
   return Divide(d).remainder;
 }
 
-// Montgomery context for a fixed odd modulus: fast repeated modular
-// multiplication (CIOS) and exponentiation. Shared across operations on the
-// same field/modulus (each RSA key and the pairing field keep one).
+// The one Montgomery multiply (CIOS, Koç–Acar–Kaliski) under every
+// modular product in the library: RSA moduli of any width through
+// Montgomery below, and the fixed-width F_p of the pairing field directly.
+// All spans hold little-endian limbs and have the length k of `n`:
+//
+//   out = a · b · 2^(-64k) mod n,   for odd n and a, b < n.
+//
+// `scratch` needs k + 1 limbs. `out` may alias `a` or `b`. The routine
+// allocates nothing, and its final reduction is a masked select, not a
+// branch on the result. It is inline so that a caller with a fixed width
+// (Fp's 8 limbs) gets a fully unrolled copy.
+inline void MontMul(std::span<std::uint64_t> out,
+                    std::span<const std::uint64_t> a,
+                    std::span<const std::uint64_t> b,
+                    std::span<const std::uint64_t> n,
+                    std::uint64_t n_prime,
+                    std::span<std::uint64_t> scratch) {
+  using u64 = std::uint64_t;
+  using u128 = unsigned __int128;
+  const std::size_t k = n.size();
+  // t never aliases the operands, so it can live in registers across the
+  // inner loop.
+  u64* __restrict t = scratch.data();
+  for (std::size_t j = 0; j <= k; ++j) t[j] = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    // One pass: t = (t + a·b[i] + m·n) / 2^64, with m chosen so the low
+    // limb cancels. The product and reduction carries run side by side.
+    const u64 bi = b[i];
+    u128 cur = static_cast<u128>(a[0]) * bi + t[0];
+    u64 c1 = static_cast<u64>(cur >> 64);
+    const u64 m = static_cast<u64>(cur) * n_prime;
+    u128 red = static_cast<u128>(m) * n[0] + static_cast<u64>(cur);
+    u64 c2 = static_cast<u64>(red >> 64);
+    for (std::size_t j = 1; j < k; ++j) {
+      cur = static_cast<u128>(a[j]) * bi + t[j] + c1;
+      c1 = static_cast<u64>(cur >> 64);
+      red = static_cast<u128>(m) * n[j] + static_cast<u64>(cur) + c2;
+      c2 = static_cast<u64>(red >> 64);
+      t[j - 1] = static_cast<u64>(red);
+    }
+    const u128 top = static_cast<u128>(t[k]) + c1 + c2;
+    t[k - 1] = static_cast<u64>(top);
+    t[k] = static_cast<u64>(top >> 64);
+  }
+  // t < 2n: out = t − n unless that borrows, selected without a branch.
+  u64 borrow = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    u128 diff = static_cast<u128>(t[j]) - n[j] - borrow;
+    out[j] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
+  }
+  const u64 keep_t = u64{0} - (borrow & static_cast<u64>(t[k] == 0));
+  for (std::size_t j = 0; j < k; ++j) {
+    out[j] = (t[j] & keep_t) | (out[j] & ~keep_t);
+  }
+}
+
+// -n^(-1) mod 2^64 for odd n0: the per-modulus constant of MontMul.
+std::uint64_t MontNPrime(std::uint64_t n0);
+
+// Montgomery context for a fixed odd modulus: repeated modular
+// multiplication and exponentiation over MontMul. Shared across operations
+// on the same modulus (each RSA key keeps one).
 class Montgomery {
  public:
   explicit Montgomery(const BigInt& modulus);
@@ -127,6 +190,9 @@ class Montgomery {
   BigInt PowMont(const BigInt& base_mont, const BigInt& exp) const;
 
  private:
+  // Copies `a` (< n) into k zero-padded limbs.
+  void Pad(const BigInt& a, std::span<std::uint64_t> out) const;
+
   BigInt n_;
   std::size_t k_;           // limb count of n
   std::uint64_t n_prime_;   // -n^{-1} mod 2^64

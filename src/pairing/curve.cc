@@ -46,66 +46,73 @@ G1Point G1Point::Add(const G1Point& o) const {
   return G1Point(std::move(x3), std::move(y3));
 }
 
-namespace {
+JacobianPoint JacobianPoint::FromAffine(const G1Point& p) {
+  if (p.is_infinity()) return {};
+  return {p.x(), p.y(), Fp::One(p.x().field()), false};
+}
 
-// Jacobian-coordinate point (X, Y, Z) representing (X/Z², Y/Z³): point
-// doubling/addition without per-step field inversions, which makes scalar
-// multiplication ~10x faster than the affine ladder. Curve: y² = x³ + x
-// (a = 1).
-struct Jacobian {
-  Fp x, y, z;
-  bool infinity;
-};
+G1Point JacobianPoint::ToAffine() const {
+  if (infinity) return G1Point::Infinity();
+  Fp zinv = z.Inverse();
+  Fp zinv2 = zinv.Square();
+  return G1Point(x * zinv2, y * zinv2 * zinv);
+}
 
-Jacobian JacDouble(const Jacobian& p) {
-  if (p.infinity || p.y.IsZero()) return {p.x, p.y, p.z, true};
-  Fp y2 = p.y.Square();
-  Fp s = Fp::FromU64(p.x.field(), 4) * p.x * y2;           // 4XY²
-  Fp z2 = p.z.Square();
-  Fp m = Fp::FromU64(p.x.field(), 3) * p.x.Square() + z2.Square();  // 3X²+aZ⁴
+JacobianPoint JacobianDouble(const JacobianPoint& v, const G1Point* q,
+                             Fp2* line) {
+  if (line != nullptr) *line = Fp2::One(q->x().field());
+  if (v.infinity || v.y.IsZero()) return {};  // vertical tangent
+  // Curve a = 1: M = 3X² + Z⁴, S = 4XY², 2V = (M² − 2S, M(S − X') − 8Y⁴, 2YZ).
+  Fp x2 = v.x.Square();
+  Fp z2 = v.z.Square();
+  Fp m = x2 + x2 + x2 + z2.Square();
+  Fp two_y2 = v.y.Square();
+  two_y2 = two_y2 + two_y2;
+  Fp s = v.x * two_y2;
+  s = s + s;
   Fp x3 = m.Square() - (s + s);
-  Fp y3 = m * (s - x3) - Fp::FromU64(p.x.field(), 8) * y2.Square();
-  Fp z3 = (p.y + p.y) * p.z;
+  Fp four_y4 = two_y2.Square();
+  Fp y3 = m * (s - x3) - (four_y4 + four_y4);
+  Fp z3 = (v.y + v.y) * v.z;
+  if (line != nullptr) {
+    // Tangent slope λ = M / (2YZ); λ(x_Q + x) − y scaled by 2YZ³.
+    *line = Fp2(m * (z2 * q->x() + v.x) - two_y2, z3 * z2 * q->y());
+  }
   return {x3, y3, z3, false};
 }
 
-// Mixed addition: q is affine (Z = 1).
-Jacobian JacAddAffine(const Jacobian& p, const Fp& qx, const Fp& qy) {
-  if (p.infinity) return {qx, qy, Fp::One(qx.field()), false};
-  Fp z2 = p.z.Square();
-  Fp u2 = qx * z2;            // U2 = x2 Z1²
-  Fp s2 = qy * z2 * p.z;      // S2 = y2 Z1³
-  Fp h = u2 - p.x;
-  Fp r = s2 - p.y;
+JacobianPoint JacobianAddAffine(const JacobianPoint& v, const G1Point& p,
+                                const G1Point* q, Fp2* line) {
+  if (line != nullptr) *line = Fp2::One(q->x().field());
+  if (v.infinity) return JacobianPoint::FromAffine(p);
+  Fp z2 = v.z.Square();
+  Fp h = p.x() * z2 - v.x;        // U2 − X with U2 = x_P Z²
+  Fp r = p.y() * z2 * v.z - v.y;  // S2 − Y with S2 = y_P Z³
   if (h.IsZero()) {
-    if (r.IsZero()) return JacDouble(p);  // same point
-    return {p.x, p.y, p.z, true};         // inverse points
+    if (r.IsZero()) return JacobianDouble(v);  // V = P
+    return {};                                 // V = −P: vertical chord
+  }
+  Fp z3 = v.z * h;
+  if (line != nullptr) {
+    // Chord slope λ = R / (Z·H), taken through P and scaled by Z·H.
+    *line = Fp2(r * (q->x() + p.x()) - p.y() * z3, q->y() * z3);
   }
   Fp h2 = h.Square();
   Fp h3 = h2 * h;
-  Fp u1h2 = p.x * h2;
+  Fp u1h2 = v.x * h2;
   Fp x3 = r.Square() - h3 - (u1h2 + u1h2);
-  Fp y3 = r * (u1h2 - x3) - p.y * h3;
-  Fp z3 = p.z * h;
+  Fp y3 = r * (u1h2 - x3) - v.y * h3;
   return {x3, y3, z3, false};
 }
 
-}  // namespace
-
 G1Point G1Point::ScalarMul(const BigInt& k) const {
   if (infinity_ || k.IsZero()) return Infinity();
-  const FpField* f = x_.field();
-  Jacobian acc{x_, y_, Fp::One(f), true};
-  acc.infinity = true;
+  JacobianPoint acc;
   for (std::size_t i = k.BitLength(); i-- > 0;) {
-    acc = JacDouble(acc);
-    if (k.Bit(i)) acc = JacAddAffine(acc, x_, y_);
+    acc = JacobianDouble(acc);
+    if (k.Bit(i)) acc = JacobianAddAffine(acc, *this);
   }
-  if (acc.infinity) return Infinity();
-  // Back to affine with a single inversion.
-  Fp zinv = acc.z.Inverse();
-  Fp zinv2 = zinv.Square();
-  return G1Point(acc.x * zinv2, acc.y * zinv2 * zinv);
+  return acc.ToAffine();
 }
 
 Bytes G1Point::ToBytes(const FpField* f) const {

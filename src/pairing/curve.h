@@ -39,6 +39,29 @@ class G1Point {
   bool infinity_;
 };
 
+// A point of E in Jacobian coordinates (X, Y, Z) ↦ (X/Z², Y/Z³), so doubling
+// and mixed addition need no field inversion. G1Point::ScalarMul and the
+// pairing's Miller loop share the two steps below.
+struct JacobianPoint {
+  Fp x, y, z;
+  bool infinity = true;
+
+  static JacobianPoint FromAffine(const G1Point& p);
+  G1Point ToAffine() const;  // one field inversion
+};
+
+// When `q` and `line` are set, each step also evaluates the line it used —
+// the tangent at V, or the chord through V and P — at the distorted point
+// φ(Q) = (−x_Q, i·y_Q), scaled by a nonzero F_p factor that a pairing's
+// final exponentiation removes. A vertical line (2V or V + P at infinity)
+// and the V = P case of the addition contribute *line = 1.
+JacobianPoint JacobianDouble(const JacobianPoint& v,
+                             const G1Point* q = nullptr, Fp2* line = nullptr);
+// V + P for affine P ≠ infinity.
+JacobianPoint JacobianAddAffine(const JacobianPoint& v, const G1Point& p,
+                                const G1Point* q = nullptr,
+                                Fp2* line = nullptr);
+
 // Deterministically hashes arbitrary bytes onto the order-r subgroup:
 // try-and-increment x candidates, then clear the cofactor.
 G1Point HashToG1(const FpField* field, const BigInt& cofactor,

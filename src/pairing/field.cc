@@ -2,20 +2,45 @@
 
 namespace reed::pairing {
 
-FpField::FpField(BigInt p) : p_(std::move(p)), mont_(p_) {
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+
+namespace {
+
+FpLimbs ToLimbs(const BigInt& v) {
+  FpLimbs out{};
+  for (std::size_t i = 0; i < kFpMaxLimbs; ++i) out[i] = v.Limb(i);
+  return out;
+}
+
+}  // namespace
+
+FpField::FpField(BigInt p) : p_(std::move(p)) {
+  if (p_.LimbCount() > kFpMaxLimbs) {
+    throw Error("FpField: p wider than " + std::to_string(64 * kFpMaxLimbs) +
+                " bits");
+  }
   if (p_.ModLimb(4) != 3) {
     throw Error("FpField: p must be congruent to 3 mod 4");
   }
   sqrt_exp_ = (p_ + BigInt(1)) >> 2;
+  inverse_exp_ = p_ - BigInt(2);
   ebytes_ = (p_.BitLength() + 7) / 8;
+  n_prime_ = bigint::MontNPrime(p_.Limb(0));
+  p_limbs_ = ToLimbs(p_);
+  one_ = ToLimbs((BigInt(1) << (64 * kFpMaxLimbs)) % p_);
+  r2_ = ToLimbs((BigInt(1) << (128 * kFpMaxLimbs)) % p_);
 }
 
-Fp Fp::One(const FpField* f) {
-  return FromBigInt(f, BigInt(1));
+void FpField::MulMont(FpLimbs& out, const FpLimbs& a, const FpLimbs& b) const {
+  std::array<u64, kFpMaxLimbs + 1> scratch{};
+  bigint::MontMul(out, a, b, p_limbs_, n_prime_, scratch);
 }
 
 Fp Fp::FromBigInt(const FpField* f, const BigInt& plain) {
-  return Fp(f, f->mont().ToMont(plain % f->p()));
+  FpLimbs v = ToLimbs(plain >= f->p() ? plain % f->p() : plain);
+  f->MulMont(v, v, f->r2());
+  return Fp(f, v);
 }
 
 Fp Fp::FromU64(const FpField* f, std::uint64_t v) {
@@ -23,11 +48,15 @@ Fp Fp::FromU64(const FpField* f, std::uint64_t v) {
 }
 
 Fp Fp::Random(const FpField* f, crypto::Rng& rng) {
-  return Fp(f, f->mont().ToMont(BigInt::Random(rng, f->p())));
+  return FromBigInt(f, BigInt::Random(rng, f->p()));
 }
 
 BigInt Fp::ToBigInt() const {
-  return field_->mont().FromMont(v_);
+  FpLimbs unit{};
+  unit[0] = 1;
+  FpLimbs plain{};
+  field_->MulMont(plain, v_, unit);
+  return BigInt::FromLimbs(plain);
 }
 
 Bytes Fp::ToBytes() const {
@@ -45,36 +74,66 @@ Fp Fp::FromBytes(const FpField* f, ByteSpan b) {
 
 Fp Fp::operator+(const Fp& o) const {
   // Montgomery form is additive: (aR + bR) mod p = (a+b)R mod p.
-  BigInt sum = v_ + o.v_;
-  if (sum >= field_->p()) sum -= field_->p();
-  return Fp(field_, std::move(sum));
+  const FpLimbs& p = field_->modulus_limbs();
+  FpLimbs sum{}, diff{};
+  u64 carry = 0, borrow = 0;
+  for (std::size_t i = 0; i < kFpMaxLimbs; ++i) {
+    u128 s = static_cast<u128>(v_[i]) + o.v_[i] + carry;
+    sum[i] = static_cast<u64>(s);
+    carry = static_cast<u64>(s >> 64);
+  }
+  for (std::size_t i = 0; i < kFpMaxLimbs; ++i) {
+    u128 d = static_cast<u128>(sum[i]) - p[i] - borrow;
+    diff[i] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 64) & 1;
+  }
+  // sum − p is the answer unless it borrowed past a carry-free sum.
+  return Fp(field_, (borrow && !carry) ? sum : diff);
 }
 
 Fp Fp::operator-(const Fp& o) const {
-  if (v_ >= o.v_) return Fp(field_, v_ - o.v_);
-  return Fp(field_, v_ + field_->p() - o.v_);
+  const FpLimbs& p = field_->modulus_limbs();
+  FpLimbs diff{};
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < kFpMaxLimbs; ++i) {
+    u128 d = static_cast<u128>(v_[i]) - o.v_[i] - borrow;
+    diff[i] = static_cast<u64>(d);
+    borrow = static_cast<u64>(d >> 64) & 1;
+  }
+  if (borrow) {
+    u64 carry = 0;
+    for (std::size_t i = 0; i < kFpMaxLimbs; ++i) {
+      u128 s = static_cast<u128>(diff[i]) + p[i] + carry;
+      diff[i] = static_cast<u64>(s);
+      carry = static_cast<u64>(s >> 64);
+    }
+  }
+  return Fp(field_, diff);
 }
 
 Fp Fp::operator*(const Fp& o) const {
-  return Fp(field_, field_->mont().MulMont(v_, o.v_));
+  FpLimbs out{};
+  field_->MulMont(out, v_, o.v_);
+  return Fp(field_, out);
 }
 
 Fp Fp::Neg() const {
-  if (v_.IsZero()) return *this;
-  return Fp(field_, field_->p() - v_);
+  if (IsZero()) return *this;
+  return Zero(field_) - *this;
 }
 
 Fp Fp::Inverse() const {
-  if (v_.IsZero()) throw Error("Fp::Inverse: zero has no inverse");
-  // (aR)^-1 * R^2 = a^-1 R: invert the Montgomery value, then multiply by
-  // R^2 twice via ToMont composition. Simpler: leave Montgomery, do it on
-  // plain values.
-  BigInt plain = ToBigInt();
-  return FromBigInt(field_, BigInt::InverseMod(plain, field_->p()));
+  if (IsZero()) throw Error("Fp::Inverse: zero has no inverse");
+  return Pow(field_->inverse_exp());
 }
 
 Fp Fp::Pow(const BigInt& e) const {
-  return Fp(field_, field_->mont().PowMont(v_, e));
+  Fp result = One(field_);
+  for (std::size_t i = e.BitLength(); i-- > 0;) {
+    result = result.Square();
+    if (e.Bit(i)) result = result * *this;
+  }
+  return result;
 }
 
 bool Fp::Sqrt(Fp* out) const {

@@ -60,52 +60,23 @@ BigInt TypeAPairing::RandomScalar(crypto::Rng& rng) const {
   }
 }
 
-namespace {
-
-// Evaluates the (denominator-free) line through the Miller loop at the
-// distorted point φ(Q) = (−xq, i·yq): value = (λ(xq + xv) − yv) + yq·i.
-inline Fp2 LineValue(const Fp& lambda, const Fp& xv, const Fp& yv,
-                     const Fp& xq, const Fp& yq) {
-  return Fp2(lambda * (xq + xv) - yv, yq);
-}
-
-}  // namespace
-
 Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
-  const FpField* f = field_.get();
-  Fp2 result = Fp2::One(f);
+  Fp2 result = Fp2::One(field_.get());
   if (p.is_infinity() || q.is_infinity()) return result;
 
-  const Fp& xq = q.x();
-  const Fp& yq = q.y();
-  Fp one = Fp::One(f);
-  Fp three = Fp::FromU64(f, 3);
-
-  G1Point v = p;
+  JacobianPoint v = JacobianPoint::FromAffine(p);
+  Fp2 line;
   const BigInt& r = params_.r;
   for (std::size_t i = r.BitLength() - 1; i-- > 0;) {
     result = result.Square();
-    if (!v.is_infinity()) {
-      if (v.y().IsZero()) {
-        // Vertical tangent: contributes an F_p value, killed by the final
-        // exponentiation — just move to infinity.
-        v = G1Point::Infinity();
-      } else {
-        Fp lambda = (three * v.x().Square() + one) * (v.y() + v.y()).Inverse();
-        result = result * LineValue(lambda, v.x(), v.y(), xq, yq);
-        v = v.Double();
-      }
-    }
-    if (r.Bit(i) && !v.is_infinity()) {
-      if (v.x() == p.x()) {
-        // Chord is vertical (V == −P, or V == P needing a tangent — the
-        // latter cannot occur for P of prime order r within the loop).
-        v = v.Add(p);
-      } else {
-        Fp lambda = (p.y() - v.y()) * (p.x() - v.x()).Inverse();
-        result = result * LineValue(lambda, v.x(), v.y(), xq, yq);
-        v = v.Add(p);
-      }
+    // Once V reaches infinity (vertical tangent or chord) every later line
+    // would be vertical too: F_p values that the final exponentiation kills.
+    if (v.infinity) continue;
+    v = JacobianDouble(v, &q, &line);
+    result = result * line;
+    if (r.Bit(i) && !v.infinity) {
+      v = JacobianAddAffine(v, p, &q, &line);
+      result = result * line;
     }
   }
   return result;

@@ -9,6 +9,11 @@
 //   * ê(P, Q) = Tate(P, φ(Q)) via a denominator-free Miller loop and final
 //     exponentiation (p²−1)/r = (p−1)·h applied as a Frobenius-assisted
 //     conjugate/inverse step followed by one h-bit exponentiation.
+//
+// The Miller loop keeps V in Jacobian coordinates, so it does no field
+// inversion. Each line value it multiplies in is off from the affine one by
+// a factor in F_p*, and c^(p−1) = 1 for every such c, so the final
+// exponentiation maps both loops to the same GT element, bit for bit.
 #pragma once
 
 #include <memory>
@@ -47,13 +52,18 @@ class TypeAPairing {
   // Uniform scalar in [1, r).
   BigInt RandomScalar(crypto::Rng& rng) const;
 
-  // The pairing ê(P, Q); both inputs must lie in the order-r subgroup.
+  // The pairing ê(P, Q) = FinalExponentiation(MillerLoop(P, Q)); both
+  // inputs must lie in the order-r subgroup.
   Fp2 Pair(const G1Point& p, const G1Point& q) const;
 
- private:
+  // The two halves of Pair. FinalExponentiation is a group homomorphism
+  // F_p²* → GT, so a product of pairings (or quotient: the loop value for
+  // (−P, Q) stands for ê(P, Q)⁻¹) and powers of them can be combined on raw
+  // loop values and exponentiated once.
   Fp2 MillerLoop(const G1Point& p, const G1Point& q) const;
   Fp2 FinalExponentiation(const Fp2& f) const;
 
+ private:
   TypeAParams params_;
   std::unique_ptr<FpField> field_;
   G1Point generator_;

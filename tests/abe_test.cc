@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "abe/cpabe.h"
+#include "abe_keystate_fixture.h"
 #include "crypto/random.h"
 
 namespace reed::abe {
@@ -269,6 +270,23 @@ TEST_F(CpAbeTest, RevocationByPolicyChange) {
                          rng),
       "test: v2 key-state envelope excluding bob");
   EXPECT_THROW(abe_->DecryptBytes(bob, v2), Error);
+}
+
+TEST_F(CpAbeTest, StoredKeyStateBlobsStillOpen) {
+  // Blobs written by an earlier release (abe_keystate_fixture.h) must open
+  // under today's pairing and decrypt path, byte for byte, and the outsider
+  // must still be refused: stored key states outlive code changes.
+  PrivateKey member = abe_->DeserializePrivateKey(
+      Secret(HexDecode(fixture::kMemberKeyHex)));
+  PrivateKey outsider = abe_->DeserializePrivateKey(
+      Secret(HexDecode(fixture::kOutsiderKeyHex)));
+  Bytes plain = HexDecode(fixture::kPlaintextHex);
+  for (const char* blob_hex :
+       {fixture::kOrPolicyBlobHex, fixture::kThresholdBlobHex}) {
+    Bytes blob = HexDecode(blob_hex);
+    EXPECT_TRUE(abe_->DecryptBytes(member, blob).ConstantTimeEquals(plain));
+    EXPECT_THROW(abe_->DecryptBytes(outsider, blob), Error);
+  }
 }
 
 TEST_F(CpAbeTest, EmptyAttributeSetRejected) {

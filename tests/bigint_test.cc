@@ -2,9 +2,12 @@
 // algebraic-identity property suites.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bigint/bigint.h"
 #include "bigint/prime.h"
 #include "crypto/random.h"
+#include "oracles/sos_montgomery.h"
 
 namespace reed::bigint {
 namespace {
@@ -236,6 +239,60 @@ TEST(MontgomeryTest, PowMatchesSquareAndMultiply) {
       if (e.Bit(bit)) ref = BigInt::MulMod(ref, a, m);
     }
     EXPECT_EQ(mont.Pow(a, e), ref);
+  }
+}
+
+// Moduli for the kernel differential tests: a random odd modulus with the
+// top bit set, and the all-ones modulus 2^bits − 1, at each RSA/pairing
+// width the library uses.
+std::vector<BigInt> KernelModuli(DeterministicRng& rng) {
+  std::vector<BigInt> moduli;
+  for (std::size_t bits : {256, 512, 1024, 2048}) {
+    BigInt n = BigInt::RandomBits(rng, bits - 1) + (BigInt(1) << (bits - 1));
+    if (!n.IsOdd()) n += BigInt(1);
+    moduli.push_back(n);
+    moduli.push_back((BigInt(1) << bits) - BigInt(1));
+  }
+  return moduli;
+}
+
+TEST(MontgomeryTest, KernelMatchesSosOracle) {
+  // Montgomery::MulMont (the CIOS kernel) against the old SOS product, bit
+  // for bit, on edge limbs and seeded random operands.
+  DeterministicRng rng(31);
+  for (const BigInt& n : KernelModuli(rng)) {
+    SCOPED_TRACE(n.BitLength());
+    Montgomery mont(n);
+    const std::size_t bits = n.BitLength();
+    std::vector<BigInt> operands = {
+        BigInt(0), BigInt(1), n - BigInt(1), n - BigInt(2),
+        (BigInt(1) << (bits - 64)) - BigInt(1),  // all-ones low limbs
+    };
+    for (int i = 0; i < 4; ++i) operands.push_back(BigInt::Random(rng, n));
+    for (const BigInt& a : operands) {
+      for (const BigInt& b : operands) {
+        EXPECT_EQ(mont.MulMont(a, b), oracle::SosMulMont(a, b, n));
+      }
+    }
+    for (int i = 0; i < 20; ++i) {
+      BigInt a = BigInt::Random(rng, n);
+      BigInt b = BigInt::Random(rng, n);
+      EXPECT_EQ(mont.MulMont(a, b), oracle::SosMulMont(a, b, n));
+    }
+  }
+}
+
+TEST(MontgomeryTest, KernelSquaresInPlace) {
+  // MontMul on raw limb spans with the output aliasing both inputs.
+  DeterministicRng rng(32);
+  for (const BigInt& n : KernelModuli(rng)) {
+    const std::size_t k = n.LimbCount();
+    std::vector<std::uint64_t> limbs(k), n_limbs(k), scratch(k + 1);
+    for (std::size_t i = 0; i < k; ++i) n_limbs[i] = n.Limb(i);
+    BigInt a = BigInt::Random(rng, n);
+    for (std::size_t i = 0; i < k; ++i) limbs[i] = a.Limb(i);
+    MontMul(limbs, limbs, limbs, n_limbs, MontNPrime(n.Limb(0)), scratch);
+    EXPECT_EQ(BigInt::FromLimbs(limbs), oracle::SosMulMont(a, a, n));
   }
 }
 

@@ -116,7 +116,9 @@ TEST(LruCacheStress, MixedGetPutClearAcrossThreads) {
             break;
           case 1: {
             auto v = cache.Get(key);
-            if (v) EXPECT_EQ(*v, "value-" + std::to_string(key));
+            if (v) {
+              EXPECT_EQ(*v, "value-" + std::to_string(key));
+            }
             break;
           }
           case 2:

@@ -323,12 +323,10 @@ std::string CloneStore(const TailSweepSetup& setup, const std::string& name) {
 TEST(TornWalTailTest, RecoversAtEveryTruncationOffset) {
   TailSweepSetup setup = BuildPristineStore();
   ASSERT_GT(setup.wal_size, setup.last_record_start);
-  const std::string work = ::testing::TempDir() + "/torn_truncate";
+  std::string work;
   for (std::size_t cut = setup.last_record_start; cut < setup.wal_size;
        ++cut) {
-    std::filesystem::remove_all(work);
-    std::filesystem::copy(setup.pristine, work,
-                          std::filesystem::copy_options::recursive);
+    work = CloneStore(setup, "torn_truncate");
     {
       util::File f = util::File::OpenAppend(work + "/wal.log");
       f.Truncate(cut);
@@ -352,12 +350,10 @@ TEST(TornWalTailTest, RecoversAtEveryTruncationOffset) {
 
 TEST(TornWalTailTest, RecoversWithEveryByteOfLastRecordFlipped) {
   TailSweepSetup setup = BuildPristineStore();
-  const std::string work = ::testing::TempDir() + "/torn_flip";
+  std::string work;
   for (std::size_t pos = setup.last_record_start; pos < setup.wal_size;
        ++pos) {
-    std::filesystem::remove_all(work);
-    std::filesystem::copy(setup.pristine, work,
-                          std::filesystem::copy_options::recursive);
+    work = CloneStore(setup, "torn_flip");
     {
       Bytes wal = util::ReadFileBytes(work + "/wal.log");
       wal[pos] ^= 0x41;

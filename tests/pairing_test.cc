@@ -2,8 +2,12 @@
 // hash-to-group, and the bilinearity/non-degeneracy of the Tate pairing.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "bigint/prime.h"
 #include "crypto/random.h"
+#include "oracles/affine_pairing.h"
 #include "pairing/pairing.h"
 
 namespace reed::pairing {
@@ -13,6 +17,16 @@ using crypto::DeterministicRng;
 
 const TypeAPairing& SharedPairing() {
   static TypeAPairing pairing(TypeAParams::Default());
+  return pairing;
+}
+
+// TypeAParams::Generate(80, 256, DeterministicRng(2)): a 4-limb field, so
+// the fixed 8-limb Fp runs with unused high limbs.
+const TypeAPairing& SmallPairing() {
+  static TypeAPairing pairing([] {
+    DeterministicRng rng(2);
+    return TypeAParams::Generate(80, 256, rng);
+  }());
   return pairing;
 }
 
@@ -55,6 +69,43 @@ TEST(FpTest, FieldAxiomsRandomized) {
       EXPECT_EQ(a * a.Inverse(), Fp::One(f));
     }
   }
+}
+
+TEST(FpTest, MatchesBigIntReference) {
+  // The fixed-width limb arithmetic against plain BigInt modular arithmetic,
+  // on random values and the edges 0, 1, p − 1, in a full-width (8-limb)
+  // and a half-width (4-limb) field.
+  for (const TypeAPairing* e : {&SharedPairing(), &SmallPairing()}) {
+    const FpField* f = e->field();
+    const BigInt& p = f->p();
+    DeterministicRng rng(13);
+    std::vector<BigInt> values = {BigInt(0), BigInt(1), p - BigInt(1)};
+    for (int i = 0; i < 6; ++i) values.push_back(BigInt::Random(rng, p));
+    for (const BigInt& x : values) {
+      Fp fx = Fp::FromBigInt(f, x);
+      EXPECT_EQ(fx.ToBigInt(), x);
+      EXPECT_EQ(fx.Neg().ToBigInt(), BigInt::SubMod(BigInt(0), x, p));
+      if (!x.IsZero()) {
+        EXPECT_EQ(fx.Inverse().ToBigInt(), BigInt::InverseMod(x, p));
+      }
+      for (const BigInt& y : values) {
+        Fp fy = Fp::FromBigInt(f, y);
+        EXPECT_EQ((fx + fy).ToBigInt(), BigInt::AddMod(x, y, p));
+        EXPECT_EQ((fx - fy).ToBigInt(), BigInt::SubMod(x, y, p));
+        EXPECT_EQ((fx * fy).ToBigInt(), BigInt::MulMod(x, y, p));
+      }
+    }
+  }
+}
+
+TEST(FpTest, FieldRejectsPrimesWiderThanFixedWidth) {
+  // Fp holds kFpMaxLimbs = 8 limbs, so p may have at most 512 bits.
+  BigInt m521 = (BigInt(1) << 521) - BigInt(1);  // Mersenne prime, ≡ 3 mod 4
+  EXPECT_THROW(FpField field(m521), Error);
+  BigInt p513 = (BigInt(1) << 512) + BigInt(3);
+  EXPECT_THROW(FpField field(p513), Error);
+  EXPECT_NO_THROW(FpField field(TypeAParams::Default().p));
+  EXPECT_EQ(TypeAParams::Default().p.BitLength(), 64 * kFpMaxLimbs);
 }
 
 TEST(FpTest, BytesRoundTrip) {
@@ -230,6 +281,86 @@ TEST(PairingTest, MultiplicativeInFirstArgument) {
   G1Point p2 = e.HashToGroup(ToBytes("m2"));
   G1Point q = e.HashToGroup(ToBytes("mq"));
   EXPECT_EQ(e.Pair(p1.Add(p2), q), e.Pair(p1, q) * e.Pair(p2, q));
+}
+
+// ------------------- known answers and the affine oracle -------------------
+
+// Pinned from the affine Miller loop before the projective rewrite, over
+// TypeAParams::Default(): Pair(g, g), and Pair(a·g, b·g) for a, b the first
+// two RandomScalar draws of DeterministicRng(7).
+constexpr const char* kPairGeneratorHex =
+    "2ce1ea65bced6f886d34cd8b573435f74b386fb9817a093779d9f99dd0abeda6"
+    "5b039eb45892b9a40da1ee5da7467c8dedffa2291b5b7c610fcdec4f95a67f88"
+    "1329296b880815189e08f5f60b2bdfd3e10065b17e079b8a9a16cdeb4edef1ef"
+    "fdac2053aa02ea3d2d009984539a61faa69929e0a9e317dacec2c2f3a46be8bd";
+
+constexpr const char* kPairSeededHex =
+    "243f2eec4f2587a70211e0df9699e376342087e626e6a46ded4e55cb25578c53"
+    "0f30222ab25e409612559e9e55906bbe62cc7f6e9c66a02d37f21f854590ba8d"
+    "13025d412d106db1b5aa0120d3b2ad0a51c6651487f1484ca7fc2e7a1dfd2a89"
+    "c4bef09013506a8096d2992ad1dc468af0f6465c87fbccbf5496f9946b003000";
+
+TEST(PairingTest, KnownAnswersDefaultParams) {
+  const TypeAPairing& e = SharedPairing();
+  const G1Point& g = e.generator();
+  EXPECT_EQ(HexEncode(e.Pair(g, g).ToBytes()), kPairGeneratorHex);
+  DeterministicRng rng(7);
+  BigInt a = e.RandomScalar(rng);
+  BigInt b = e.RandomScalar(rng);
+  EXPECT_EQ(HexEncode(e.Pair(g.ScalarMul(a), g.ScalarMul(b)).ToBytes()),
+            kPairSeededHex);
+}
+
+// Pair must equal the affine oracle byte for byte — not merely agree up to
+// bilinearity — on seeded random pairs and on the degenerate inputs: the
+// order-2 point (0, 0) and the point at infinity, on either side.
+void ExpectMatchesAffineOracle(const TypeAPairing& e, std::uint64_t seed) {
+  const FpField* f = e.field();
+  const G1Point& g = e.generator();
+  DeterministicRng rng(seed);
+  G1Point two_torsion(Fp::Zero(f), Fp::Zero(f));
+  ASSERT_TRUE(two_torsion.IsOnCurve());
+  G1Point inf = G1Point::Infinity();
+
+  std::vector<std::pair<G1Point, G1Point>> cases;
+  for (int i = 0; i < 8; ++i) {
+    cases.emplace_back(g.ScalarMul(e.RandomScalar(rng)),
+                       g.ScalarMul(e.RandomScalar(rng)));
+  }
+  G1Point p = e.HashToGroup(ToBytes("oracle-P"));
+  cases.emplace_back(p, p);
+  cases.emplace_back(p, p.Neg());
+  cases.emplace_back(two_torsion, p);
+  cases.emplace_back(p, two_torsion);
+  cases.emplace_back(two_torsion, two_torsion);
+  cases.emplace_back(inf, p);
+  cases.emplace_back(p, inf);
+  cases.emplace_back(inf, inf);
+  for (const auto& [lhs, rhs] : cases) {
+    EXPECT_EQ(HexEncode(e.Pair(lhs, rhs).ToBytes()),
+              HexEncode(oracle::AffinePair(e, lhs, rhs).ToBytes()));
+  }
+}
+
+TEST(PairingTest, MatchesAffineOracleDefaultParams) {
+  ExpectMatchesAffineOracle(SharedPairing(), 21);
+}
+
+TEST(PairingTest, MatchesAffineOracleGenerated256BitParams) {
+  ExpectMatchesAffineOracle(SmallPairing(), 22);
+}
+
+TEST(PairingTest, FinalExponentiationCombinesLoopValues) {
+  // The identity CP-ABE decryption relies on: one final exponentiation of a
+  // product of raw loop values, with (−P, Q) standing for a quotient.
+  const TypeAPairing& e = SharedPairing();
+  G1Point p1 = e.HashToGroup(ToBytes("fe-p1"));
+  G1Point p2 = e.HashToGroup(ToBytes("fe-p2"));
+  G1Point q = e.HashToGroup(ToBytes("fe-q"));
+  BigInt k(12345);
+  Fp2 combined = e.FinalExponentiation(
+      e.MillerLoop(p1, q).Pow(k) * e.MillerLoop(p2.Neg(), q));
+  EXPECT_EQ(combined, e.Pair(p1, q).Pow(k) * e.Pair(p2, q).Inverse());
 }
 
 }  // namespace

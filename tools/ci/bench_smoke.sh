@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Run every bench_fig* binary (plus bench_recovery) at --smoke scale with
-# --json output and merge
-# the results into one document, suitable for diffing against
+# Run every bench_fig* binary (plus bench_recovery, bench_loadgen and the
+# pairing/CP-ABE layer rows of bench_ablation_primitives) at --smoke scale
+# with --json output and merge the results into one document, suitable for
+# diffing against
 # BENCH_baseline.json (see tools/ci/bench_compare.py) or for regenerating
 # that baseline (see EXPERIMENTS.md):
 #
@@ -26,7 +27,13 @@ REPS="${REPS:-3}"
 
 BENCHES=(bench_fig5_keygen bench_fig6_encryption bench_fig7_updown
          bench_fig8_rekeying bench_fig9_storage bench_fig10_trace
-         bench_recovery bench_loadgen)
+         bench_recovery bench_loadgen bench_ablation_primitives)
+
+# Per-bench extra arguments: the ablation suite runs only the layer rows its
+# --json output reports (layers_pairing).
+declare -A EXTRA_ARGS=(
+  [bench_ablation_primitives]='--benchmark_filter=^BM_(TatePairing|G1ScalarMul|AbeEncrypt/1|AbeDecrypt/1)$'
+)
 
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
@@ -41,7 +48,7 @@ for bench in "${BENCHES[@]}"; do
   for rep in $(seq 1 "${REPS}"); do
     echo "=== bench_smoke: ${bench} (${rep}/${REPS}) ==="
     "${bin}" --smoke --json "${TMP_DIR}/${bench}.${rep}.json" \
-        > "${TMP_DIR}/${bench}.${rep}.log"
+        ${EXTRA_ARGS[${bench}]:-} > "${TMP_DIR}/${bench}.${rep}.log"
     tail -n 2 "${TMP_DIR}/${bench}.${rep}.log"
     PARTS+=("${TMP_DIR}/${bench}.${rep}.json")
   done
