@@ -14,9 +14,11 @@
 //   tools/ci/bench_smoke.sh and BENCH_baseline.json:
 //     ablation_primitives/layers_pairing: tate_pairing_us, g1_scalar_mul_us,
 //                                         abe_encrypt_1_us, abe_decrypt_1_us
+//     ablation_primitives/layers_oprf: oprf_client_blind_us,
+//         oprf_manager_sign_us, oprf_client_unblind_us,
+//         key_regression_wind_us, key_regression_unwind_us
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -342,14 +344,32 @@ void BM_StubSizeSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_StubSizeSweep)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 
-// The pairing/CP-ABE layer rows gated in CI: google-benchmark run name →
+// The layer rows gated in CI, one series each: google-benchmark run name →
 // JSON field (microseconds per operation).
-constexpr std::array<std::pair<const char*, const char*>, 4> kPairingLayer = {{
-    {"BM_TatePairing", "tate_pairing_us"},
-    {"BM_G1ScalarMul", "g1_scalar_mul_us"},
-    {"BM_AbeEncrypt/1", "abe_encrypt_1_us"},
-    {"BM_AbeDecrypt/1", "abe_decrypt_1_us"},
-}};
+struct LayerRow {
+  const char* run;
+  const char* field;
+};
+struct LayerSeries {
+  const char* series;
+  std::vector<LayerRow> rows;
+};
+const std::vector<LayerSeries>& GatedLayers() {
+  static const std::vector<LayerSeries> layers = {
+      {"layers_pairing",
+       {{"BM_TatePairing", "tate_pairing_us"},
+        {"BM_G1ScalarMul", "g1_scalar_mul_us"},
+        {"BM_AbeEncrypt/1", "abe_encrypt_1_us"},
+        {"BM_AbeDecrypt/1", "abe_decrypt_1_us"}}},
+      {"layers_oprf",
+       {{"BM_OprfClientBlind", "oprf_client_blind_us"},
+        {"BM_OprfManagerSign", "oprf_manager_sign_us"},
+        {"BM_OprfClientUnblind", "oprf_client_unblind_us"},
+        {"BM_KeyRegressionWind", "key_regression_wind_us"},
+        {"BM_KeyRegressionUnwind", "key_regression_unwind_us"}}},
+  };
+  return layers;
+}
 
 // Console output as usual (colored only on a terminal), plus per-run real
 // time in microseconds.
@@ -404,19 +424,18 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   if (!json.enabled()) return 0;
-  std::array<double, kPairingLayer.size()> us{};
-  for (std::size_t i = 0; i < kPairingLayer.size(); ++i) {
-    auto it = reporter.micros().find(kPairingLayer[i].first);
-    if (it == reporter.micros().end()) {
-      std::fprintf(stderr, "--json: %s did not run (check the filter)\n",
-                   kPairingLayer[i].first);
-      return 1;
+  for (const LayerSeries& layer : GatedLayers()) {
+    std::vector<std::pair<const char*, double>> fields;
+    for (const LayerRow& row : layer.rows) {
+      auto it = reporter.micros().find(row.run);
+      if (it == reporter.micros().end()) {
+        std::fprintf(stderr, "--json: %s did not run (check the filter)\n",
+                     row.run);
+        return 1;
+      }
+      fields.emplace_back(row.field, it->second);
     }
-    us[i] = it->second;
+    json.AddRow(layer.series, fields);
   }
-  json.Add("layers_pairing", {{kPairingLayer[0].second, us[0]},
-                              {kPairingLayer[1].second, us[1]},
-                              {kPairingLayer[2].second, us[2]},
-                              {kPairingLayer[3].second, us[3]}});
   return 0;
 }

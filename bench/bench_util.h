@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +71,10 @@ class JsonReporter {
 
   void Add(const std::string& series,
            std::initializer_list<std::pair<const char*, double>> fields) {
+    AddRow(series, fields);
+  }
+  void AddRow(const std::string& series,
+              std::span<const std::pair<const char*, double>> fields) {
     if (path_.empty()) return;
     Row row;
     for (const auto& [name, value] : fields) row.emplace_back(name, value);

@@ -1,5 +1,8 @@
 #include "abe/cpabe.h"
 
+#include <algorithm>
+#include <array>
+
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -18,33 +21,105 @@ std::vector<std::string> PrivateKey::Attributes() const {
   return out;
 }
 
+namespace {
+
+// LRU charge per cached comb: the table plus a little for the name, the
+// shared_ptr control block and the LRU nodes.
+std::size_t AttributeEntryBytes(const TypeAPairing* pairing) {
+  if (pairing == nullptr) return 1;  // the constructor throws right after
+  return pairing::G1FixedBase::TableBytes(pairing->group_order()) + 256;
+}
+
+}  // namespace
+
 CpAbe::CpAbe(std::shared_ptr<const TypeAPairing> pairing)
-    : pairing_(std::move(pairing)) {
+    : pairing_(std::move(pairing)),
+      attr_cache_entries_(kAttrCacheBytes /
+                          AttributeEntryBytes(pairing_.get())),
+      attr_cache_(kAttrCacheBytes, AttributeEntryBytes(pairing_.get()),
+                  LockRank::kAbeAttrCache),
+      attr_points_(kAttrPointCacheBytes, 256, LockRank::kAbeAttrCache) {
   if (!pairing_) throw Error("CpAbe: null pairing");
 }
 
 G1Point CpAbe::AttributePoint(const std::string& attribute) const {
-  {
-    MutexLock lock(attr_cache_mu_);
-    auto it = attr_cache_.find(attribute);
-    if (it != attr_cache_.end()) return it->second;
-  }
-  G1Point pt = pairing_->HashToGroup(ToBytes("reed/abe-attr:" + attribute));
-  MutexLock lock(attr_cache_mu_);
-  attr_cache_.emplace(attribute, pt);
-  return pt;
+  if (auto hit = attr_points_.Get(attribute)) return *hit;
+  G1Point point = pairing_->HashToGroup(ToBytes("reed/abe-attr:" + attribute));
+  attr_points_.Put(attribute, point);
+  return point;
 }
+
+std::shared_ptr<const pairing::G1FixedBase> CpAbe::AttributeTable(
+    const std::string& attribute, bool keep) const {
+  if (auto hit = attr_cache_.Get(attribute)) return *hit;
+  const G1Point point = AttributePoint(attribute);
+  const BigInt& r = pairing_->group_order();
+  if (!keep) {
+    return std::make_shared<const pairing::G1FixedBase>(
+        pairing::G1FixedBase::SingleRow(point, r));
+  }
+  auto table = std::make_shared<const pairing::G1FixedBase>(point, r);
+  attr_cache_.Put(attribute, table);
+  return table;
+}
+
+std::shared_ptr<const PublicKeyTables> CpAbe::BuildTables(
+    const PublicKey& pk) const {
+  const BigInt& r = pairing_->group_order();
+  return std::make_shared<const PublicKeyTables>(PublicKeyTables{
+      pairing::G1FixedBase(pk.g, r), pairing::G1FixedBase(pk.h, r),
+      pairing::GtFixedBase(pk.e_gg_alpha, r)});
+}
+
+std::shared_ptr<const PublicKeyTables> CpAbe::Tables(
+    const PublicKey& pk) const {
+  const PublicKeyTables* t = pk.tables.get();
+  if (t != nullptr && t->g.base() == pk.g && t->h.base() == pk.h &&
+      t->e_gg_alpha.base() == pk.e_gg_alpha) {
+    return pk.tables;
+  }
+  return BuildTables(pk);
+}
+
+void CpAbe::PrepareKey(PrivateKey& sk) const {
+  auto prepare = [this](const G1Point& p) {
+    return std::make_shared<const pairing::G1Prepared>(pairing_->Prepare(p));
+  };
+  sk.d_lines = prepare(sk.d);
+  for (auto& [attr, comp] : sk.components) {
+    comp.d_lines = prepare(comp.d);
+    comp.neg_d_prime_lines = prepare(comp.d_prime.Neg());
+  }
+}
+
+namespace {
+
+// `lines` when they were prepared from `point`, else a fresh preparation
+// held in `scratch`.
+const pairing::G1Prepared& LinesFor(
+    const TypeAPairing& e, const std::shared_ptr<const pairing::G1Prepared>& lines,
+    const G1Point& point, std::optional<pairing::G1Prepared>& scratch) {
+  if (lines != nullptr && lines->point() == point) return *lines;
+  return scratch.emplace(e.Prepare(point));
+}
+
+}  // namespace
 
 CpAbe::SetupResult CpAbe::Setup(crypto::Rng& rng) const {
   const G1Point& g = pairing_->generator();
+  const BigInt& r = pairing_->group_order();
   BigInt alpha = pairing_->RandomScalar(rng);
   BigInt beta = pairing_->RandomScalar(rng);
 
+  pairing::G1FixedBase g_table(g, r);
   SetupResult out;
   out.pk.g = g;
-  out.pk.h = g.ScalarMul(beta);
-  G1Point g_alpha = g.ScalarMul(alpha);
+  out.pk.h = g_table.Mul(beta);
+  G1Point g_alpha = g_table.Mul(alpha);
   out.pk.e_gg_alpha = pairing_->Pair(g, g_alpha);
+  out.pk.tables = std::make_shared<const PublicKeyTables>(PublicKeyTables{
+      std::move(g_table), pairing::G1FixedBase(out.pk.h, r),
+      pairing::GtFixedBase(out.pk.e_gg_alpha, r)});
   out.mk.beta = beta;
   out.mk.g_alpha = g_alpha;
   return out;
@@ -55,21 +130,23 @@ PrivateKey CpAbe::KeyGen(const PublicKey& pk, const MasterKey& mk,
                          crypto::Rng& rng) const {
   if (attributes.empty()) throw Error("CpAbe::KeyGen: empty attribute set");
   const BigInt& r = pairing_->group_order();
+  const std::shared_ptr<const PublicKeyTables> tables = Tables(pk);
   BigInt t = pairing_->RandomScalar(rng);
   BigInt beta_inv = BigInt::InverseMod(mk.beta, r);
 
   PrivateKey sk;
-  sk.d = mk.g_alpha.Add(pk.g.ScalarMul(t)).ScalarMul(beta_inv);
-  G1Point g_t = pk.g.ScalarMul(t);
+  G1Point g_t = tables->g.Mul(t);
+  sk.d = mk.g_alpha.Add(g_t).ScalarMul(beta_inv);
   for (const auto& attr : attributes) {
     BigInt tj = pairing_->RandomScalar(rng);
     AttributeKey comp;
-    comp.d = g_t.Add(AttributePoint(attr).ScalarMul(tj));
-    comp.d_prime = pk.g.ScalarMul(tj);
+    comp.d = g_t.Add(AttributeTable(attr)->Mul(tj));
+    comp.d_prime = tables->g.Mul(tj);
     if (!sk.components.emplace(attr, std::move(comp)).second) {
       throw Error("CpAbe::KeyGen: duplicate attribute");
     }
   }
+  PrepareKey(sk);
   return sk;
 }
 
@@ -101,6 +178,7 @@ void CpAbe::ShareSecret(const PolicyNode& node, const BigInt& value,
 Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
                                  const PolicyNode& policy,
                                  crypto::Rng& rng) const {
+  const std::shared_ptr<const PublicKeyTables> tables = Tables(pk);
   BigInt s = pairing_->RandomScalar(rng);
   std::vector<BigInt> shares;
   shares.reserve(policy.LeafCount());
@@ -108,9 +186,21 @@ Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
 
   Ciphertext ct;
   ct.policy = policy;
-  ct.c_tilde = message * pk.e_gg_alpha.Pow(s);
-  ct.c = pk.h.ScalarMul(s);
-  ct.leaves.reserve(shares.size());
+  ct.c_tilde = message * tables->e_gg_alpha.Pow(s);
+
+  // Every point of the ciphertext in Jacobian form, then one batched
+  // inversion for all of them: C = h^s, then per leaf C_y, C'_y.
+  std::vector<pairing::JacobianPoint> points;
+  points.reserve(1 + 2 * shares.size());
+  points.push_back(tables->h.MulJacobian(s));
+  // An OR gate (the only policy REED builds) hands every leaf the secret
+  // itself, so C_y = g^s is computed once. Attribute combs are kept only
+  // when the policy's leaves fit in the cache.
+  const bool keep_tables = shares.size() <= attr_cache_entries_;
+  const bool one_share = std::all_of(
+      shares.begin(), shares.end(), [&](const BigInt& v) { return v == s; });
+  std::optional<pairing::JacobianPoint> g_s;
+  if (one_share) g_s = tables->g.MulJacobian(s);
 
   // Walk leaves in the same DFS order ShareSecret used.
   std::size_t next = 0;
@@ -123,10 +213,9 @@ Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
     Frame& f = frames.back();
     if (f.node->IsLeaf()) {
       const BigInt& share = shares[next++];
-      CiphertextLeaf leaf;
-      leaf.c = pk.g.ScalarMul(share);
-      leaf.c_prime = AttributePoint(f.node->attribute()).ScalarMul(share);
-      ct.leaves.push_back(std::move(leaf));
+      points.push_back(one_share ? *g_s : tables->g.MulJacobian(share));
+      points.push_back(AttributeTable(f.node->attribute(), keep_tables)
+                           ->MulJacobian(share));
       frames.pop_back();
       continue;
     }
@@ -136,61 +225,99 @@ Ciphertext CpAbe::EncryptElement(const PublicKey& pk, const Fp2& message,
       frames.pop_back();
     }
   }
+
+  std::vector<G1Point> affine = pairing::BatchToAffine(points);
+  ct.c = std::move(affine[0]);
+  ct.leaves.reserve(shares.size());
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    ct.leaves.push_back({std::move(affine[1 + 2 * i]),
+                         std::move(affine[2 + 2 * i])});
+  }
   return ct;
 }
 
-std::optional<Fp2> CpAbe::DecryptNode(const PolicyNode& node,
-                                      const PrivateKey& sk,
-                                      const Ciphertext& ct,
-                                      std::size_t& leaf_index) const {
-  const BigInt& r = pairing_->group_order();
+bool CpAbe::PlanNode(const PolicyNode& node, const PrivateKey& sk,
+                     const std::vector<std::string>& attributes,
+                     std::size_t first_leaf, const BigInt& exponent,
+                     std::vector<LeafUse>& uses) const {
   if (node.IsLeaf()) {
-    std::size_t idx = leaf_index++;
     auto it = sk.components.find(node.attribute());
-    if (it == sk.components.end()) return std::nullopt;
-    const CiphertextLeaf& leaf = ct.leaves.at(idx);
-    // e(D_j, C_y) / e(D'_j, C'_y) = e(g,g)^{t·λ_y}, as a raw loop value:
-    // the quotient becomes a product with the loop for (−D'_j, C'_y).
-    return pairing_->MillerLoop(it->second.d, leaf.c) *
-           pairing_->MillerLoop(it->second.d_prime.Neg(), leaf.c_prime);
+    if (it == sk.components.end()) return false;
+    uses.push_back({first_leaf, &it->second, exponent});
+    return true;
   }
-
-  // Evaluate every child (leaf_index bookkeeping requires full traversal),
-  // then combine any `threshold` successes with Lagrange coefficients.
-  std::vector<std::pair<std::uint64_t, Fp2>> successes;
+  // The first `threshold` satisfied children, with x = child index + 1 and
+  // the DFS index of each child's first leaf.
+  std::vector<std::pair<std::uint64_t, std::size_t>> chosen;
+  std::size_t child_first = first_leaf;
   for (std::size_t i = 0; i < node.children().size(); ++i) {
-    std::optional<Fp2> child = DecryptNode(node.children()[i], sk, ct, leaf_index);
-    if (child.has_value() && successes.size() < node.threshold()) {
-      successes.emplace_back(i + 1, std::move(*child));
+    const PolicyNode& child = node.children()[i];
+    if (chosen.size() < node.threshold() && child.IsSatisfiedBy(attributes)) {
+      chosen.emplace_back(i + 1, child_first);
     }
+    child_first += child.LeafCount();
   }
-  if (successes.size() < node.threshold()) return std::nullopt;
+  if (chosen.size() < node.threshold()) return false;
 
-  Fp2 result = Fp2::One(pairing_->field());
-  for (const auto& [xi, fi] : successes) {
+  const BigInt& r = pairing_->group_order();
+  for (const auto& [xi, leaf] : chosen) {
     // Δ_i(0) = Π_{j≠i} (0 - x_j) / (x_i - x_j) mod r
     BigInt num(1), den(1);
-    for (const auto& [xj, unused] : successes) {
+    for (const auto& [xj, unused] : chosen) {
       if (xj == xi) continue;
       num = BigInt::MulMod(num, r - BigInt(xj), r);  // (0 - x_j) mod r
       BigInt diff = (xi > xj) ? BigInt(xi - xj) : r - BigInt(xj - xi);
       den = BigInt::MulMod(den, diff, r);
     }
     BigInt lambda = BigInt::MulMod(num, BigInt::InverseMod(den, r), r);
-    result = result * (lambda.IsOne() ? fi : fi.Pow(lambda));
+    BigInt child_exponent =
+        lambda.IsOne() ? exponent : BigInt::MulMod(exponent, lambda, r);
+    if (!PlanNode(node.children()[xi - 1], sk, attributes, leaf,
+                  child_exponent, uses)) {
+      return false;  // unreachable: the child was checked as satisfied
+    }
   }
-  return result;
+  return true;
 }
 
 std::optional<Fp2> CpAbe::DecryptElement(const PrivateKey& sk,
                                          const Ciphertext& ct) const {
-  std::size_t leaf_index = 0;
-  std::optional<Fp2> a = DecryptNode(ct.policy, sk, ct, leaf_index);
-  if (!a.has_value()) return std::nullopt;
-  // M = C̃ · A / e(C, D), with one final exponentiation for the whole
-  // product of raw loop values.
+  std::vector<LeafUse> uses;
+  if (!PlanNode(ct.policy, sk, sk.Attributes(), 0, BigInt(1), uses)) {
+    return std::nullopt;
+  }
+  // M = C̃ · Π_leaves (e(D_j, C_y) / e(D'_j, C'_y))^exponent / e(C, D), on
+  // raw loop values with one final exponentiation for the whole product.
+  // Each quotient is the product with the loop for (−D'_j, C'_y), and
+  // 1/e(C, D) = e(−C, D) = e(D, −C): the pairing is symmetric, so every
+  // loop has a key point first and runs on its prepared lines (the raw
+  // value for (D, −C) differs from the one for (−C, D); their final
+  // exponentiations do not). Loops entering with exponent 1 (every leaf of
+  // an OR policy) share one loop, and so its squarings.
+  std::vector<std::optional<pairing::G1Prepared>> scratch(2 * uses.size() + 1);
+  std::vector<TypeAPairing::LoopTerm> unit_terms;
+  Fp2 powered = Fp2::One(pairing_->field());
+  for (std::size_t k = 0; k < uses.size(); ++k) {
+    const AttributeKey& key = *uses[k].key;
+    const CiphertextLeaf& leaf = ct.leaves.at(uses[k].leaf);
+    const std::array<TypeAPairing::LoopTerm, 2> quotient = {{
+        {&LinesFor(*pairing_, key.d_lines, key.d, scratch[2 * k]), &leaf.c},
+        {&LinesFor(*pairing_, key.neg_d_prime_lines, key.d_prime.Neg(),
+                   scratch[2 * k + 1]),
+         &leaf.c_prime},
+    }};
+    if (uses[k].exponent.IsOne()) {
+      unit_terms.insert(unit_terms.end(), quotient.begin(), quotient.end());
+    } else {
+      powered = powered *
+                pairing_->MillerLoop(quotient).Pow(uses[k].exponent);
+    }
+  }
+  const G1Point neg_c = ct.c.Neg();
+  unit_terms.push_back(
+      {&LinesFor(*pairing_, sk.d_lines, sk.d, scratch.back()), &neg_c});
   return ct.c_tilde * pairing_->FinalExponentiation(
-                          *a * pairing_->MillerLoop(ct.c.Neg(), sk.d));
+                          powered * pairing_->MillerLoop(unit_terms));
 }
 
 Secret CpAbe::EncryptBytes(const PublicKey& pk, const PolicyNode& policy,
@@ -199,7 +326,7 @@ Secret CpAbe::EncryptBytes(const PublicKey& pk, const PolicyNode& policy,
   // e(g,g)^α generates GT (α ≠ 0 mod the prime r), so for uniform z this is
   // uniform over the same set as e(g,g)^z, without computing a pairing.
   BigInt z = pairing_->RandomScalar(rng);
-  Fp2 m = pk.e_gg_alpha.Pow(z);
+  Fp2 m = Tables(pk)->e_gg_alpha.Pow(z);
   Ciphertext ct = EncryptElement(pk, m, policy, rng);
 
   Bytes kek = crypto::Sha256::HashToBytes(m.ToBytes());
@@ -358,6 +485,7 @@ PrivateKey CpAbe::DeserializePrivateKey(const Secret& secret_blob) const {
     sk.components.emplace(std::move(attr), std::move(comp));
   }
   if (off != blob.size()) throw Error("PrivateKey: trailing bytes");
+  PrepareKey(sk);
   return sk;
 }
 
@@ -379,6 +507,7 @@ PublicKey CpAbe::DeserializePublicKey(ByteSpan blob) const {
   pk.g = G1Point::FromBytes(f, blob.subspan(0, pt));
   pk.h = G1Point::FromBytes(f, blob.subspan(pt, pt));
   pk.e_gg_alpha = Fp2::FromBytes(f, blob.subspan(2 * pt));
+  pk.tables = BuildTables(pk);
   return pk;
 }
 

@@ -10,6 +10,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -56,11 +57,9 @@ class BigInt {
   BigInt operator<<(std::size_t bits) const;
   BigInt operator>>(std::size_t bits) const;
 
-  // True in-place arithmetic (no allocation when capacity suffices) — the
-  // binary-GCD inversion inner loop lives on these.
+  // True in-place arithmetic (no allocation when capacity suffices).
   BigInt& operator+=(const BigInt& other);
   BigInt& operator-=(const BigInt& other);  // throws if other > *this
-  void ShiftRight1InPlace();
 
   // Quotient and remainder; throws on division by zero.
   struct DivMod;
@@ -84,6 +83,10 @@ class BigInt {
 
   // Modular inverse via extended Euclid; throws Error if gcd(a, m) != 1.
   static BigInt InverseMod(const BigInt& a, const BigInt& m);
+  // The same for odd m > 1, with nullopt instead of the throw: callers
+  // that expect a non-unit now and then (OPRF blinding) test, not catch.
+  static std::optional<BigInt> TryInverseModOdd(const BigInt& a,
+                                                const BigInt& m);
 
   // Uniform random value in [0, bound) / exact bit length.
   static BigInt Random(crypto::Rng& rng, const BigInt& bound);
@@ -168,29 +171,47 @@ inline void MontMul(std::span<std::uint64_t> out,
 std::uint64_t MontNPrime(std::uint64_t n0);
 
 // Montgomery context for a fixed odd modulus: repeated modular
-// multiplication and exponentiation over MontMul. Shared across operations
-// on the same modulus (each RSA key keeps one).
+// multiplication and exponentiation over MontMul. Building one costs a
+// short division and a few squarings, so every long-lived key keeps its
+// contexts (rsa::RsaPublicContext, rsa::RsaPrivateContext) instead of
+// rebuilding them per operation.
 class Montgomery {
  public:
   explicit Montgomery(const BigInt& modulus);
 
   const BigInt& modulus() const { return n_; }
 
-  // Representation conversion.
-  BigInt ToMont(const BigInt& a) const;    // a * R mod n
+  // Representation conversion. ToMont accepts any width: a value wider than
+  // n is folded in n-sized chunks through MontMul, with no long division.
+  BigInt ToMont(const BigInt& a) const;    // (a mod n) * R mod n
   BigInt FromMont(const BigInt& a) const;  // a * R^-1 mod n
 
-  // Montgomery product of two Montgomery-form values.
+  // Montgomery product a · b · R⁻¹ mod n. The operands are < n, except
+  // that one of them may be any value below R (R = 2^(64k)).
   BigInt MulMont(const BigInt& a, const BigInt& b) const;
+
+  // (a − b) mod n for a, b < n, with the wrap-around selected by a mask.
+  // Montgomery form is additive, so this serves either representation.
+  BigInt Sub(const BigInt& a, const BigInt& b) const;
 
   // Plain-value modular ops (convert in/out internally).
   BigInt Mul(const BigInt& a, const BigInt& b) const;
-  BigInt Pow(const BigInt& base, const BigInt& exp) const;
+  BigInt Pow(const BigInt& base, const BigInt& exp,
+             std::size_t exp_bits = 0) const;
   // base already in Montgomery form; result in Montgomery form.
-  BigInt PowMont(const BigInt& base_mont, const BigInt& exp) const;
+  //
+  // The one modular exponentiation of the library: a fixed 4-bit window,
+  // where every window squares four times and multiplies once by a table
+  // entry picked with a masked scan over all 16 entries. The sequence of
+  // operations and memory accesses depends only on the number of windows,
+  // so a secret exponent (RSA's dp/dq, the key-regression wind) passes its
+  // public width as `exp_bits` (it must be ≥ exp.BitLength(); 0 means
+  // exp.BitLength(), right for public exponents).
+  BigInt PowMont(const BigInt& base_mont, const BigInt& exp,
+                 std::size_t exp_bits = 0) const;
 
  private:
-  // Copies `a` (< n) into k zero-padded limbs.
+  // Copies `a` (< R) into k zero-padded limbs.
   void Pad(const BigInt& a, std::span<std::uint64_t> out) const;
 
   BigInt n_;

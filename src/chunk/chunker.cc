@@ -34,24 +34,45 @@ std::vector<ChunkRef> RabinChunker::Split(ByteSpan data) {
   if (data.empty()) return out;
   out.reserve(data.size() / options_.average_size + 1);
 
+  // The window restarts at every cut, so each chunk's boundaries depend only
+  // on its own content (keeps boundaries stable across chunk-local edits).
+  // A fingerprint depends only on the last `w` bytes (a restarted window
+  // holds zeros, and a zero byte leaving changes nothing), and none is
+  // tested before min_size bytes: so sliding starts min_size − w bytes in,
+  // and the byte leaving the window is read back from `data`.
+  const std::size_t w = window_.window_size();
+  const std::size_t skip =
+      options_.min_size > w ? options_.min_size - w : 0;
+  const std::uint8_t* bytes = data.data();
   std::size_t start = 0;
-  std::size_t len = 0;
-  window_.Reset();
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    std::uint64_t fp = window_.Slide(data[i]);
-    ++len;
-    bool at_boundary =
-        len >= options_.min_size && (fp & mask_) == mask_;
-    if (at_boundary || len == options_.max_size) {
-      out.push_back({start, len});
-      start = i + 1;
-      len = 0;
-      // Restart the window so each chunk's boundaries depend only on its
-      // own content (keeps boundaries stable across chunk-local edits).
-      window_.Reset();
+  while (start < data.size()) {
+    const std::size_t limit =
+        std::min(data.size(), start + options_.max_size);
+    const std::size_t first = start + skip;        // first byte slid in
+    const std::size_t check = start + options_.min_size - 1;  // first test
+    std::size_t cut = limit;  // max_size cut, or the tail of the input
+    std::uint64_t fp = 0;
+    // While the window fills (from `first`) nothing leaves it.
+    const std::size_t fill_end = std::min(limit, first + w);
+    for (std::size_t i = first; i < fill_end; ++i) {
+      fp = window_.Roll(fp, bytes[i], 0);
+      if (i >= check && (fp & mask_) == mask_) {
+        cut = i + 1;
+        break;
+      }
     }
+    if (cut == limit && first + w < limit) {
+      for (std::size_t i = fill_end; i < limit; ++i) {
+        fp = window_.Roll(fp, bytes[i], bytes[i - w]);
+        if (i >= check && (fp & mask_) == mask_) {
+          cut = i + 1;
+          break;
+        }
+      }
+    }
+    out.push_back({start, cut - start});
+    start = cut;
   }
-  if (len > 0) out.push_back({start, len});
   return out;
 }
 

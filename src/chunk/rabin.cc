@@ -37,6 +37,7 @@ std::uint64_t RabinWindow::PolyMod(std::uint64_t value, std::uint64_t poly) {
 
 RabinWindow::RabinWindow(std::size_t window_size, std::uint64_t poly)
     : window_size_(window_size), poly_(poly), degree_(DegreeOf(poly)),
+      low_mask_((std::uint64_t(1) << degree_) - 1),
       window_(window_size, 0) {
   if (window_size_ == 0) throw Error("RabinWindow: window size must be > 0");
   if (degree_ < 9 || degree_ > 56) {
@@ -64,17 +65,10 @@ void RabinWindow::Reset() {
 }
 
 std::uint64_t RabinWindow::Slide(std::uint8_t in) {
-  std::uint8_t out = 0;
-  bool full = filled_ == window_size_;
-  if (full) out = window_[pos_];
-
-  std::uint64_t shifted = (fp_ << 8) | in;
-  fp_ = (shifted & ((std::uint64_t(1) << degree_) - 1)) ^
-        append_table_[shifted >> degree_];
-  if (full) fp_ ^= remove_table_[out];
-
+  const bool full = filled_ == window_size_;
+  fp_ = Roll(fp_, in, full ? window_[pos_] : std::uint8_t{0});
   window_[pos_] = in;
-  pos_ = (pos_ + 1) % window_size_;
+  if (++pos_ == window_size_) pos_ = 0;
   if (!full) ++filled_;
   return fp_;
 }

@@ -26,6 +26,17 @@ class RabinWindow {
   // is full) and returns the updated fingerprint.
   std::uint64_t Slide(std::uint8_t in);
 
+  // One step of the same rolling hash as a pure function: `out` is the
+  // byte leaving the window, 0 while the window fills (a zero byte leaving
+  // changes nothing). A caller that holds the input reads `out` from it
+  // and keeps no ring buffer.
+  std::uint64_t Roll(std::uint64_t fp, std::uint8_t in,
+                     std::uint8_t out) const {
+    const std::uint64_t shifted = (fp << 8) | in;
+    return (shifted & low_mask_) ^ append_table_[shifted >> degree_] ^
+           remove_table_[out];
+  }
+
   std::uint64_t fingerprint() const { return fp_; }
   std::size_t window_size() const { return window_size_; }
 
@@ -38,6 +49,7 @@ class RabinWindow {
   std::size_t window_size_;
   std::uint64_t poly_;
   int degree_;
+  std::uint64_t low_mask_;  // 2^degree − 1
   std::uint64_t fp_ = 0;
   std::size_t pos_ = 0;
   std::size_t filled_ = 0;

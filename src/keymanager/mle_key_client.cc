@@ -109,13 +109,17 @@ std::vector<Secret> MleKeyClient::GetKeys(
        start += options_.batch_size) {
     std::size_t end = std::min(missing.size(), start + options_.batch_size);
 
-    std::vector<rsa::BlindedRequest> requests;
-    std::vector<BigInt> blinded;
-    requests.reserve(end - start);
-    blinded.reserve(end - start);
+    std::vector<ByteSpan> batch;
+    batch.reserve(end - start);
     for (std::size_t i = start; i < end; ++i) {
-      requests.push_back(blind_client_.Blind(fps[missing[i]].AsSpan(), rng));
-      blinded.push_back(requests.back().blinded);
+      batch.push_back(fps[missing[i]].AsSpan());
+    }
+    std::vector<rsa::BlindedRequest> requests =
+        blind_client_.BlindBatch(batch, rng);
+    std::vector<BigInt> blinded;
+    blinded.reserve(requests.size());
+    for (const rsa::BlindedRequest& req : requests) {
+      blinded.push_back(req.blinded);
     }
 
     Bytes request = KeyManager::EncodeRequest(client_id_, blinded, modulus_bytes);

@@ -95,7 +95,13 @@ Bytes TcpTransport::Receive() {
   std::uint8_t len_buf[4];
   ReadAll(fd_, len_buf, 4);
   std::uint32_t len = GetU32(len_buf);
-  if (len > (1u << 30)) throw NetError("TcpTransport::Receive: frame too large");
+  // The peer's length is checked before anything is allocated for it, at
+  // the cap net::Reader puts on any one blob.
+  if (len > kMaxFrameLen) {
+    throw NetError("TcpTransport::Receive: frame of " + std::to_string(len) +
+                   " bytes exceeds the " + std::to_string(kMaxFrameLen) +
+                   "-byte cap");
+  }
   Bytes frame(len);
   ReadAll(fd_, frame.data(), len);
   return frame;

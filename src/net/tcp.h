@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "net/wire.h"
 #include "util/bytes.h"
 
 namespace reed::net {
@@ -36,7 +37,11 @@ class TcpTransport {
   // Writes one frame (length prefix + payload). Throws NetError on failure.
   void Send(ByteSpan frame);
 
-  // Reads one frame; throws NetError on close/failure.
+  // Largest frame Receive accepts: the net::Reader blob cap.
+  static constexpr std::uint32_t kMaxFrameLen = Reader::kDefaultMaxBlobLen;
+
+  // Reads one frame; throws NetError on close/failure, and on a length
+  // prefix above kMaxFrameLen before allocating anything for it.
   [[nodiscard]] Bytes Receive();
 
   // Half-closes both directions so a blocked Send/Receive on another thread

@@ -58,9 +58,29 @@ G1Point JacobianPoint::ToAffine() const {
   return G1Point(x * zinv2, y * zinv2 * zinv);
 }
 
-JacobianPoint JacobianDouble(const JacobianPoint& v, const G1Point* q,
-                             Fp2* line) {
-  if (line != nullptr) *line = Fp2::One(q->x().field());
+std::vector<G1Point> BatchToAffine(std::span<const JacobianPoint> points) {
+  std::vector<G1Point> out(points.size());
+  // prefix[j] = z_0 ⋯ z_j over the finite points, in order.
+  std::vector<std::size_t> finite;
+  std::vector<Fp> prefix;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].infinity) continue;
+    prefix.push_back(finite.empty() ? points[i].z : prefix.back() * points[i].z);
+    finite.push_back(i);
+  }
+  if (finite.empty()) return out;
+  Fp inv = prefix.back().Inverse();  // (z_0 ⋯ z_j)⁻¹ for j = last
+  for (std::size_t j = finite.size(); j-- > 0;) {
+    const JacobianPoint& p = points[finite[j]];
+    const Fp zinv = j == 0 ? inv : inv * prefix[j - 1];
+    if (j != 0) inv = inv * p.z;
+    const Fp zinv2 = zinv.Square();
+    out[finite[j]] = G1Point(p.x * zinv2, p.y * zinv2 * zinv);
+  }
+  return out;
+}
+
+JacobianPoint JacobianDouble(const JacobianPoint& v, MillerLine* line) {
   if (v.infinity || v.y.IsZero()) return {};  // vertical tangent
   // Curve a = 1: M = 3X² + Z⁴, S = 4XY², 2V = (M² − 2S, M(S − X') − 8Y⁴, 2YZ).
   Fp x2 = v.x.Square();
@@ -75,15 +95,15 @@ JacobianPoint JacobianDouble(const JacobianPoint& v, const G1Point* q,
   Fp y3 = m * (s - x3) - (four_y4 + four_y4);
   Fp z3 = (v.y + v.y) * v.z;
   if (line != nullptr) {
-    // Tangent slope λ = M / (2YZ); λ(x_Q + x) − y scaled by 2YZ³.
-    *line = Fp2(m * (z2 * q->x() + v.x) - two_y2, z3 * z2 * q->y());
+    // Tangent slope λ = M / (2YZ); λ(x_Q + x) − y scaled by 2YZ³ is
+    // M·Z²·x_Q + (M·X − 2Y²) + i·(2YZ³)·y_Q.
+    *line = {m * z2, m * v.x - two_y2, z3 * z2};
   }
   return {x3, y3, z3, false};
 }
 
 JacobianPoint JacobianAddAffine(const JacobianPoint& v, const G1Point& p,
-                                const G1Point* q, Fp2* line) {
-  if (line != nullptr) *line = Fp2::One(q->x().field());
+                                MillerLine* line) {
   if (v.infinity) return JacobianPoint::FromAffine(p);
   Fp z2 = v.z.Square();
   Fp h = p.x() * z2 - v.x;        // U2 − X with U2 = x_P Z²
@@ -94,8 +114,9 @@ JacobianPoint JacobianAddAffine(const JacobianPoint& v, const G1Point& p,
   }
   Fp z3 = v.z * h;
   if (line != nullptr) {
-    // Chord slope λ = R / (Z·H), taken through P and scaled by Z·H.
-    *line = Fp2(r * (q->x() + p.x()) - p.y() * z3, q->y() * z3);
+    // Chord slope λ = R / (Z·H), taken through P and scaled by Z·H:
+    // R·x_Q + (R·x_P − y_P·Z·H) + i·(Z·H)·y_Q.
+    *line = {r, r * p.x() - p.y() * z3, z3};
   }
   Fp h2 = h.Square();
   Fp h3 = h2 * h;

@@ -7,6 +7,32 @@ using u128 = unsigned __int128;
 
 namespace {
 
+// base^e for a public exponent e, with a fixed 4-bit window: 14 multiplies
+// build base^0..base^15, then each window squares four times and
+// multiplies once unless its digit is zero. The branch and the table index
+// follow e only, never the base.
+template <typename T>
+T WindowedPow(const T& base, const T& one, const BigInt& e) {
+  constexpr std::size_t kWindowBits = 4;
+  std::array<T, 16> table;
+  table[0] = one;
+  table[1] = base;
+  for (std::size_t j = 2; j < table.size(); ++j) {
+    table[j] = table[j - 1] * base;
+  }
+  T result = one;
+  const std::size_t windows = (e.BitLength() + kWindowBits - 1) / kWindowBits;
+  for (std::size_t w = windows; w-- > 0;) {
+    if (w + 1 != windows) {
+      for (std::size_t s = 0; s < kWindowBits; ++s) result = result.Square();
+    }
+    const std::size_t bit = w * kWindowBits;
+    const std::uint64_t digit = (e.Limb(bit / 64) >> (bit % 64)) & 0xF;
+    if (digit != 0) result = result * table[digit];
+  }
+  return result;
+}
+
 FpLimbs ToLimbs(const BigInt& v) {
   FpLimbs out{};
   for (std::size_t i = 0; i < kFpMaxLimbs; ++i) out[i] = v.Limb(i);
@@ -87,8 +113,13 @@ Fp Fp::operator+(const Fp& o) const {
     diff[i] = static_cast<u64>(d);
     borrow = static_cast<u64>(d >> 64) & 1;
   }
-  // sum − p is the answer unless it borrowed past a carry-free sum.
-  return Fp(field_, (borrow && !carry) ? sum : diff);
+  // sum − p is the answer unless it borrowed past a carry-free sum; the
+  // choice is a mask, so secret operands take no data-dependent branch.
+  const u64 keep_sum = u64{0} - (borrow & (carry ^ 1));
+  for (std::size_t i = 0; i < kFpMaxLimbs; ++i) {
+    diff[i] = (sum[i] & keep_sum) | (diff[i] & ~keep_sum);
+  }
+  return Fp(field_, diff);
 }
 
 Fp Fp::operator-(const Fp& o) const {
@@ -100,13 +131,13 @@ Fp Fp::operator-(const Fp& o) const {
     diff[i] = static_cast<u64>(d);
     borrow = static_cast<u64>(d >> 64) & 1;
   }
-  if (borrow) {
-    u64 carry = 0;
-    for (std::size_t i = 0; i < kFpMaxLimbs; ++i) {
-      u128 s = static_cast<u128>(diff[i]) + p[i] + carry;
-      diff[i] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-    }
+  // Add p back under a mask when the difference went negative.
+  const u64 mask = u64{0} - borrow;
+  u64 carry = 0;
+  for (std::size_t i = 0; i < kFpMaxLimbs; ++i) {
+    u128 s = static_cast<u128>(diff[i]) + (p[i] & mask) + carry;
+    diff[i] = static_cast<u64>(s);
+    carry = static_cast<u64>(s >> 64);
   }
   return Fp(field_, diff);
 }
@@ -117,9 +148,12 @@ Fp Fp::operator*(const Fp& o) const {
   return Fp(field_, out);
 }
 
-Fp Fp::Neg() const {
-  if (IsZero()) return *this;
-  return Zero(field_) - *this;
+Fp Fp::Neg() const { return Zero(field_) - *this; }
+
+void Fp::CMov(const Fp& o, std::uint64_t mask) {
+  for (std::size_t i = 0; i < kFpMaxLimbs; ++i) {
+    v_[i] = (v_[i] & ~mask) | (o.v_[i] & mask);
+  }
 }
 
 Fp Fp::Inverse() const {
@@ -128,12 +162,7 @@ Fp Fp::Inverse() const {
 }
 
 Fp Fp::Pow(const BigInt& e) const {
-  Fp result = One(field_);
-  for (std::size_t i = e.BitLength(); i-- > 0;) {
-    result = result.Square();
-    if (e.Bit(i)) result = result * *this;
-  }
-  return result;
+  return WindowedPow(*this, One(field_), e);
 }
 
 bool Fp::Sqrt(Fp* out) const {
@@ -178,12 +207,7 @@ Fp2 Fp2::Inverse() const {
 }
 
 Fp2 Fp2::Pow(const BigInt& e) const {
-  Fp2 result = One(a_.field());
-  for (std::size_t i = e.BitLength(); i-- > 0;) {
-    result = result.Square();
-    if (e.Bit(i)) result = result * *this;
-  }
-  return result;
+  return WindowedPow(*this, One(a_.field()), e);
 }
 
 Bytes Fp2::ToBytes() const {

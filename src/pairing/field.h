@@ -73,13 +73,18 @@ class Fp {
   bool IsZero() const { return v_ == FpLimbs{}; }
   bool operator==(const Fp& o) const { return v_ == o.v_; }
 
+  // Add, subtract and multiply take no branch on the operands' values.
   Fp operator+(const Fp& o) const;
   Fp operator-(const Fp& o) const;
   Fp operator*(const Fp& o) const;
   Fp Neg() const;
+  // Constant-time conditional move: *this = o where mask is all ones, left
+  // as is where it is zero. Both must belong to the same field.
+  void CMov(const Fp& o, std::uint64_t mask);
   Fp Square() const { return *this * *this; }
   // Fermat: a^(p−2), staying in the Montgomery domain. Throws on zero.
   Fp Inverse() const;
+  // For a public exponent (the sequence of operations follows e).
   Fp Pow(const BigInt& e) const;
 
   // Square root for p ≡ 3 mod 4; returns false if not a QR.
@@ -114,7 +119,13 @@ class Fp2 {
   Fp2 operator*(const Fp2& o) const;
   Fp2 Square() const;
   Fp2 Conjugate() const { return Fp2(a_, b_.Neg()); }
+  void CMov(const Fp2& o, std::uint64_t mask) {
+    a_.CMov(o.a_, mask);
+    b_.CMov(o.b_, mask);
+  }
   Fp2 Inverse() const;
+  // For a public exponent, as Fp::Pow; secret exponents of a fixed base go
+  // through GtFixedBase.
   Fp2 Pow(const BigInt& e) const;
 
   Bytes ToBytes() const;

@@ -1,6 +1,9 @@
 #include "pairing/pairing.h"
 
+#include <algorithm>
+
 #include "bigint/prime.h"
+#include "util/secure.h"
 
 namespace reed::pairing {
 
@@ -60,26 +63,71 @@ BigInt TypeAPairing::RandomScalar(crypto::Rng& rng) const {
   }
 }
 
-Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
-  Fp2 result = Fp2::One(field_.get());
-  if (p.is_infinity() || q.is_infinity()) return result;
+G1Prepared::~G1Prepared() {
+  SecureZero(std::span<std::uint8_t>(
+      reinterpret_cast<std::uint8_t*>(lines_.data()),
+      lines_.size() * sizeof(MillerLine)));
+}
 
-  JacobianPoint v = JacobianPoint::FromAffine(p);
-  Fp2 line;
+G1Prepared TypeAPairing::Prepare(const G1Point& p) const {
+  G1Prepared out;
+  out.point_ = p;
+  if (p.is_infinity()) return out;
+  const FpField* f = field_.get();
   const BigInt& r = params_.r;
+  JacobianPoint v = JacobianPoint::FromAffine(p);
   for (std::size_t i = r.BitLength() - 1; i-- > 0;) {
-    result = result.Square();
     // Once V reaches infinity (vertical tangent or chord) every later line
-    // would be vertical too: F_p values that the final exponentiation kills.
-    if (v.infinity) continue;
-    v = JacobianDouble(v, &q, &line);
-    result = result * line;
-    if (r.Bit(i) && !v.infinity) {
-      v = JacobianAddAffine(v, p, &q, &line);
-      result = result * line;
+    // would be vertical too: F_p values that the final exponentiation
+    // kills, so the lines stop and evaluation only squares from here.
+    if (v.infinity) break;
+    MillerLine line = MillerLine::One(f);
+    v = JacobianDouble(v, &line);
+    out.lines_.push_back(line);
+    if (r.Bit(i)) {
+      // An addition slot is always filled, so evaluation can follow r's
+      // bits; after a vertical tangent it holds the constant 1.
+      line = MillerLine::One(f);
+      if (!v.infinity) v = JacobianAddAffine(v, p, &line);
+      out.lines_.push_back(line);
     }
   }
+  return out;
+}
+
+Fp2 TypeAPairing::MillerLoop(std::span<const LoopTerm> terms) const {
+  Fp2 result = Fp2::One(field_.get());
+  // Every term consumes its lines in the same pattern (one per step, two
+  // where r has a one bit) until its lines end, so one cursor serves all.
+  std::size_t longest = 0;
+  for (const LoopTerm& t : terms) {
+    if (!t.q->is_infinity()) longest = std::max(longest, t.p->lines_.size());
+  }
+  if (longest == 0) return result;
+  const BigInt& r = params_.r;
+  std::size_t next = 0;
+  for (std::size_t i = r.BitLength() - 1; i-- > 0;) {
+    result = result.Square();
+    if (next == longest) continue;
+    const bool add = r.Bit(i);
+    for (const LoopTerm& t : terms) {
+      const std::vector<MillerLine>& lines = t.p->lines_;
+      if (next >= lines.size() || t.q->is_infinity()) continue;
+      result = result * lines[next].Evaluate(*t.q);
+      if (add) result = result * lines[next + 1].Evaluate(*t.q);
+    }
+    next += add ? 2 : 1;
+  }
   return result;
+}
+
+Fp2 TypeAPairing::MillerLoop(const G1Prepared& p, const G1Point& q) const {
+  const LoopTerm term{&p, &q};
+  return MillerLoop(std::span<const LoopTerm>(&term, 1));
+}
+
+Fp2 TypeAPairing::MillerLoop(const G1Point& p, const G1Point& q) const {
+  return MillerLoop(Prepare(p), q);
 }
 
 Fp2 TypeAPairing::FinalExponentiation(const Fp2& f) const {

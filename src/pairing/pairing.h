@@ -10,17 +10,46 @@
 //     exponentiation (p²−1)/r = (p−1)·h applied as a Frobenius-assisted
 //     conjugate/inverse step followed by one h-bit exponentiation.
 //
-// The Miller loop keeps V in Jacobian coordinates, so it does no field
-// inversion. Each line value it multiplies in is off from the affine one by
-// a factor in F_p*, and c^(p−1) = 1 for every such c, so the final
+// The Miller loop runs in two halves. Preparation walks V = [prefix of r]P
+// in Jacobian coordinates (no field inversion) and records each line's
+// coefficients; they depend only on P. Evaluation squares the accumulator
+// and multiplies in each line at φ(Q). An unprepared pairing is the two back
+// to back; CP-ABE prepares a private key's points once and evaluates them
+// against every ciphertext. Each line is off from the affine one by a
+// factor in F_p*, and c^(p−1) = 1 for every such c, so the final
 // exponentiation maps both loops to the same GT element, bit for bit.
 #pragma once
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "pairing/curve.h"
 
 namespace reed::pairing {
+
+// A point P with its Miller-loop lines, ready to be the first argument of
+// any number of pairings. Preparing costs what one unprepared loop's point
+// arithmetic costs, and holds |r| + popcount(r) − 2 lines (about 50 KB for
+// the default parameters). For a private-key point the lines are as secret
+// as the point: they are wiped when the last copy goes, and never
+// serialized.
+class G1Prepared {
+ public:
+  G1Prepared() = default;
+  G1Prepared(const G1Prepared&) = default;
+  G1Prepared(G1Prepared&&) = default;
+  G1Prepared& operator=(const G1Prepared&) = default;
+  G1Prepared& operator=(G1Prepared&&) = default;
+  ~G1Prepared();
+
+  const G1Point& point() const { return point_; }
+
+ private:
+  friend class TypeAPairing;
+  G1Point point_;
+  std::vector<MillerLine> lines_;  // in loop order; empty for infinity
+};
 
 struct TypeAParams {
   BigInt p;         // field prime, p ≡ 3 mod 4
@@ -59,9 +88,26 @@ class TypeAPairing {
   // The two halves of Pair. FinalExponentiation is a group homomorphism
   // F_p²* → GT, so a product of pairings (or quotient: the loop value for
   // (−P, Q) stands for ê(P, Q)⁻¹) and powers of them can be combined on raw
-  // loop values and exponentiated once.
+  // loop values and exponentiated once. The pairing is symmetric, so the
+  // loop for (Q, P) may stand in for the loop for (P, Q) inside such a
+  // product: the two raw values differ, their exponentiations do not.
   Fp2 MillerLoop(const G1Point& p, const G1Point& q) const;
   Fp2 FinalExponentiation(const Fp2& f) const;
+
+  // The Miller loop split at the point where it stops depending on Q:
+  // MillerLoop(p, q) == MillerLoop(Prepare(p), q), bit for bit.
+  G1Prepared Prepare(const G1Point& p) const;
+  Fp2 MillerLoop(const G1Prepared& p, const G1Point& q) const;
+
+  // One factor of a product of Miller loops.
+  struct LoopTerm {
+    const G1Prepared* p;
+    const G1Point* q;
+  };
+  // Π_k MillerLoop(p_k, q_k) in one loop that squares the accumulator once
+  // per step for all terms: bit for bit the product of the separate loops.
+  // This is the one Miller loop; the overloads above call it.
+  Fp2 MillerLoop(std::span<const LoopTerm> terms) const;
 
  private:
   TypeAParams params_;

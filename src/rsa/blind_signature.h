@@ -11,6 +11,9 @@
 // anyone without d, defeating offline brute force on predictable chunks).
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "rsa/rsa.h"
 #include "util/secret.h"
 
@@ -26,12 +29,19 @@ struct BlindedRequest {
 class BlindSignatureClient {
  public:
   explicit BlindSignatureClient(RsaPublicKey manager_key)
-      : key_(std::move(manager_key)) {}
+      : ctx_(std::move(manager_key)) {}
 
-  const RsaPublicKey& manager_key() const { return key_; }
+  const RsaPublicKey& manager_key() const { return ctx_.key(); }
 
   // Blinds a chunk fingerprint for the key manager.
   [[nodiscard]] BlindedRequest Blind(ByteSpan fingerprint, crypto::Rng& rng) const;
+
+  // Blinds a batch: one r per fingerprint, drawn in order (so a batch draws
+  // exactly what one Blind per fingerprint would), and all the r⁻¹ from one
+  // modular inversion (Montgomery's trick). An r that shares a factor with
+  // N is redrawn.
+  [[nodiscard]] std::vector<BlindedRequest> BlindBatch(
+      std::span<const ByteSpan> fingerprints, crypto::Rng& rng) const;
 
   // Unblinds the manager's signature and verifies it; returns the 32-byte
   // MLE key H(h^d) as a Secret. Throws Error if the signature does not
@@ -39,20 +49,20 @@ class BlindSignatureClient {
   [[nodiscard]] Secret Unblind(const BlindedRequest& request, const BigInt& signature) const;
 
  private:
-  RsaPublicKey key_;
+  RsaPublicContext ctx_;
 };
 
 class BlindSignatureServer {
  public:
-  explicit BlindSignatureServer(RsaPrivateKey key) : key_(std::move(key)) {}
+  explicit BlindSignatureServer(const RsaPrivateKey& key) : ctx_(key) {}
 
-  const RsaPublicKey& public_key() const { return key_.pub; }
+  const RsaPublicKey& public_key() const { return ctx_.public_key(); }
 
   // Signs a blinded value: y = x^d mod N. The server never sees h or fp.
   [[nodiscard]] BigInt Sign(const BigInt& blinded) const;
 
  private:
-  RsaPrivateKey key_;
+  RsaPrivateContext ctx_;
 };
 
 }  // namespace reed::rsa

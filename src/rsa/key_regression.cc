@@ -49,7 +49,7 @@ KeyState KeyRegressionOwner::GenesisState(crypto::Rng& rng) const {
 KeyState KeyRegressionOwner::Wind(const KeyState& state) const {
   KeyState next;
   next.version = state.version + 1;
-  next.value = PrivateApply(keys_.priv, state.value);
+  next.value = ctx_.Apply(state.value);
   return next;
 }
 
@@ -59,7 +59,7 @@ KeyState KeyRegressionMember::Unwind(const KeyState& state) const {
   }
   KeyState prev;
   prev.version = state.version - 1;
-  prev.value = PublicApply(key_, state.value);
+  prev.value = ctx_.Apply(state.value);
   return prev;
 }
 

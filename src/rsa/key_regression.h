@@ -37,7 +37,7 @@ struct KeyState {
 class KeyRegressionOwner {
  public:
   explicit KeyRegressionOwner(RsaKeyPair derivation_keys)
-      : keys_(std::move(derivation_keys)) {}
+      : keys_(std::move(derivation_keys)), ctx_(keys_.priv) {}
 
   const RsaPublicKey& public_key() const { return keys_.pub; }
 
@@ -49,13 +49,14 @@ class KeyRegressionOwner {
 
  private:
   RsaKeyPair keys_;
+  RsaPrivateContext ctx_;
 };
 
 // Member side: holds only the public derivation key and can unwind.
 class KeyRegressionMember {
  public:
   explicit KeyRegressionMember(RsaPublicKey public_derivation_key)
-      : key_(std::move(public_derivation_key)) {}
+      : ctx_(std::move(public_derivation_key)) {}
 
   // st_i = st_{i+1}^e mod N; throws if already at version 0.
   [[nodiscard]] KeyState Unwind(const KeyState& state) const;
@@ -64,7 +65,7 @@ class KeyRegressionMember {
   [[nodiscard]] KeyState UnwindTo(const KeyState& state, std::uint64_t target_version) const;
 
  private:
-  RsaPublicKey key_;
+  RsaPublicContext ctx_;
 };
 
 }  // namespace reed::rsa

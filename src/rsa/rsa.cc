@@ -33,18 +33,41 @@ RsaKeyPair GenerateKeyPair(std::size_t bits, crypto::Rng& rng) {
   }
 }
 
+RsaPublicContext::RsaPublicContext(RsaPublicKey key)
+    : key_(std::move(key)), mont_(key_.n) {}
+
+BigInt RsaPublicContext::Apply(const BigInt& m) const {
+  if (m >= key_.n) throw Error("PublicApply: message out of range");
+  return mont_.Pow(m, key_.e);
+}
+
+RsaPrivateContext::RsaPrivateContext(const RsaPrivateKey& key)
+    : pub_(key.pub),
+      q_(key.q),
+      dp_(key.dp),
+      dq_(key.dq),
+      qinv_(key.qinv),
+      mont_p_(key.p),
+      mont_q_(key.q) {}
+
+BigInt RsaPrivateContext::Apply(const BigInt& m) const {
+  if (m >= pub_.n) throw Error("PrivateApply: message out of range");
+  const bigint::Montgomery& p = mont_p_;
+  // m1 stays in p's Montgomery form; m2 comes out plain.
+  BigInt m1 = p.PowMont(p.ToMont(m), dp_, p.modulus().BitLength());
+  BigInt m2 = mont_q_.Pow(m, dq_, q_.BitLength());
+  // Garner: h = qinv · (m1 − m2) mod p. MulMont of a Montgomery-form value
+  // and a plain one yields the plain product.
+  BigInt h = p.MulMont(qinv_, p.Sub(m1, p.ToMont(m2)));
+  return m2 + h * q_;
+}
+
 BigInt PublicApply(const RsaPublicKey& key, const BigInt& m) {
-  if (m >= key.n) throw Error("PublicApply: message out of range");
-  return BigInt::PowMod(m, key.e, key.n);
+  return RsaPublicContext(key).Apply(m);
 }
 
 BigInt PrivateApply(const RsaPrivateKey& key, const BigInt& m) {
-  if (m >= key.pub.n) throw Error("PrivateApply: message out of range");
-  // Garner's CRT recombination.
-  BigInt m1 = BigInt::PowMod(m % key.p, key.dp, key.p);
-  BigInt m2 = BigInt::PowMod(m % key.q, key.dq, key.q);
-  BigInt h = BigInt::MulMod(key.qinv, BigInt::SubMod(m1, m2, key.p), key.p);
-  return m2 + h * key.q;
+  return RsaPrivateContext(key).Apply(m);
 }
 
 BigInt FullDomainHash(ByteSpan data, const BigInt& n) {

@@ -41,10 +41,50 @@ struct RsaKeyPair {
 // Generates an RSA key pair with an n of exactly `bits` bits, e = 65537.
 [[nodiscard]] RsaKeyPair GenerateKeyPair(std::size_t bits, crypto::Rng& rng);
 
-// m^e mod n; m must be < n.
+// The public operation m ↦ m^e mod n with the Montgomery context for n
+// built once. Key objects that apply one key many times (the OPRF client,
+// key-regression members) hold one of these.
+class RsaPublicContext {
+ public:
+  explicit RsaPublicContext(RsaPublicKey key);
+
+  const RsaPublicKey& key() const { return key_; }
+  const bigint::Montgomery& mont() const { return mont_; }
+
+  // m^e mod n; m must be < n.
+  [[nodiscard]] BigInt Apply(const BigInt& m) const;
+
+ private:
+  RsaPublicKey key_;
+  bigint::Montgomery mont_;
+};
+
+// The private operation m ↦ m^d mod n via CRT, with the contexts for p and
+// q built once. m mod p, m mod q and Garner's recombination all run through
+// those contexts (no long division), and both half exponentiations walk
+// the full width of their prime, so their timing does not depend on dp/dq.
+class RsaPrivateContext {
+ public:
+  explicit RsaPrivateContext(const RsaPrivateKey& key);
+
+  const RsaPublicKey& public_key() const { return pub_; }
+
+  // m^d mod n; m must be < n.
+  [[nodiscard]] BigInt Apply(const BigInt& m) const;
+
+ private:
+  RsaPublicKey pub_;
+  BigInt q_, dp_, dq_, qinv_;
+  bigint::Montgomery mont_p_;
+  bigint::Montgomery mont_q_;
+};
+
+// m^e mod n; m must be < n. Builds a context per call: hold an
+// RsaPublicContext to apply one key repeatedly.
 [[nodiscard]] BigInt PublicApply(const RsaPublicKey& key, const BigInt& m);
 
-// m^d mod n via CRT; m must be < n.
+// m^d mod n via CRT; m must be < n. Builds the contexts per call: hold an
+// RsaPrivateContext to apply one key repeatedly.
 [[nodiscard]] BigInt PrivateApply(const RsaPrivateKey& key, const BigInt& m);
 
 // Full-domain hash of `data` into [0, n): SHA-256 expanded with a counter to

@@ -21,9 +21,12 @@ template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache {
  public:
   // `byte_budget` caps total charged size; `entry_cost` is the fixed
-  // accounting charge per entry (key + value + bookkeeping).
-  LruCache(std::size_t byte_budget, std::size_t entry_cost)
-      : byte_budget_(byte_budget), entry_cost_(entry_cost) {}
+  // accounting charge per entry (key + value + bookkeeping). `rank` places
+  // the cache's lock in the global order (util/lock_rank.h) for owners
+  // that call it under, or above, their own locks.
+  LruCache(std::size_t byte_budget, std::size_t entry_cost,
+           LockRank rank = LockRank::kLruCache)
+      : mu_(rank), byte_budget_(byte_budget), entry_cost_(entry_cost) {}
 
   // Returns the cached value and refreshes its recency, or nullopt.
   [[nodiscard]] std::optional<V> Get(const K& key) {
@@ -86,7 +89,7 @@ class LruCache {
   }
 
  private:
-  mutable Mutex mu_{LockRank::kLruCache};
+  mutable Mutex mu_{LockRank::kLruCache};  // rank set by the constructor
   std::size_t byte_budget_;
   std::size_t entry_cost_;
   std::size_t used_ REED_GUARDED_BY(mu_) = 0;

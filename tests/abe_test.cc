@@ -5,6 +5,7 @@
 #include "abe/cpabe.h"
 #include "abe_keystate_fixture.h"
 #include "crypto/random.h"
+#include "crypto/sha256.h"
 
 namespace reed::abe {
 namespace {
@@ -287,6 +288,110 @@ TEST_F(CpAbeTest, StoredKeyStateBlobsStillOpen) {
     EXPECT_TRUE(abe_->DecryptBytes(member, blob).ConstantTimeEquals(plain));
     EXPECT_THROW(abe_->DecryptBytes(outsider, blob), Error);
   }
+}
+
+TEST_F(CpAbeTest, EncryptBytesPinnedVectors) {
+  // SHA-256 of EncryptBytes blobs written by the variable-base encrypt path
+  // under fixed seeds. The fixed-base tables must draw the same randomness
+  // and produce the same group elements, so the blobs match byte for byte.
+  struct Case {
+    PolicyNode policy;
+    std::uint64_t seed;
+    const char* sha256;
+  };
+  const std::vector<Case> cases = {
+      {PolicyNode::OrOfUsers({"alice"}), 301,
+       "56573e277aa8ddd8a4c825947e00012d13e46e7021f5f1e7cc9d51cefd5cff7a"},
+      {PolicyNode::OrOfUsers({"alice", "bob"}), 302,
+       "4b36cc8cafb1a1dac4ce54c5319da8bf44f3ccfa000b182f761a1877e1e0e25a"},
+      {PolicyNode::OrOfUsers({"alice", "bob", "carol"}), 303,
+       "09fe7b69cf9156f14aedeec3f232e3dbb041623d11450d801ee1299b63bb2e45"},
+      {PolicyNode::Threshold(2, {PolicyNode::Leaf("user:alice"),
+                                 PolicyNode::Leaf("user:bob"),
+                                 PolicyNode::Leaf("user:carol")}),
+       304,
+       "d442e5f017743f98cda33566720fa6d454fbbd69433906eb864f44bd0166cbef"},
+  };
+  const Secret plain(ToBytes("reed/pinned key state"));
+  DeterministicRng key_rng(305);
+  PrivateKey alice =
+      abe_->KeyGen(setup_->pk, setup_->mk, {"user:alice", "user:bob"}, key_rng);
+  for (const Case& c : cases) {
+    DeterministicRng rng(c.seed);
+    Bytes blob = Declassify(abe_->EncryptBytes(setup_->pk, c.policy, plain, rng),
+                            "test: pinned ciphertext");
+    EXPECT_EQ(HexEncode(crypto::Sha256::HashToBytes(blob)), c.sha256)
+        << c.policy.ToString();
+    EXPECT_TRUE(abe_->DecryptBytes(alice, blob).ConstantTimeEquals(plain));
+  }
+}
+
+TEST_F(CpAbeTest, EvictedAttributeTablesRebuildIdentically) {
+  // The attribute cache holds 96 combs. Filling it with 96 other users
+  // evicts alice's and bob's; their rebuilt combs must give the same
+  // points, so the ciphertext is byte identical to the one made before the
+  // eviction. A policy wider than the cache uses single-row tables and
+  // caches nothing; its ciphertext must still open.
+  CpAbe abe(pairing_);
+  const PolicyNode ab = PolicyNode::OrOfUsers({"alice", "bob"});
+  const Secret plain(ToBytes("reed/eviction key state"));
+  auto encrypt = [&](const PolicyNode& policy) {
+    DeterministicRng rng(401);
+    return Declassify(abe.EncryptBytes(setup_->pk, policy, plain, rng),
+                      "test: eviction ciphertext");
+  };
+  auto users = [](std::size_t first, std::size_t count) {
+    std::vector<std::string> out;
+    for (std::size_t i = first; i < first + count; ++i) {
+      out.push_back("filler-" + std::to_string(i));
+    }
+    return out;
+  };
+  const Bytes first = encrypt(ab);
+  EXPECT_EQ(abe.AttributeCacheStats().evictions, 0u);
+  (void)encrypt(PolicyNode::OrOfUsers(users(0, 48)));
+  (void)encrypt(PolicyNode::OrOfUsers(users(48, 48)));
+  EXPECT_EQ(abe.AttributeCacheStats().evictions, 2u);
+  EXPECT_EQ(encrypt(ab), first);  // alice and bob rebuilt
+
+  const auto before = abe.AttributeCacheStats();
+  std::vector<std::string> wide_users = users(1000, 97);
+  wide_users.push_back("carol");
+  const Bytes wide = encrypt(PolicyNode::OrOfUsers(wide_users));
+  EXPECT_EQ(abe.AttributeCacheStats().evictions, before.evictions);
+  DeterministicRng key_rng(402);
+  PrivateKey carol = abe.KeyGen(setup_->pk, setup_->mk, {"user:carol"}, key_rng);
+  EXPECT_TRUE(abe.DecryptBytes(carol, wide).ConstantTimeEquals(plain));
+}
+
+TEST_F(CpAbeTest, HandAssembledKeysStillWork) {
+  // Keys whose precomputation is missing or stale (fields set or edited by
+  // hand) are prepared on use and give the same answers.
+  DeterministicRng rng(403);
+  PrivateKey alice = abe_->KeyGen(setup_->pk, setup_->mk, {"user:alice"}, rng);
+  PublicKey bare_pk{setup_->pk.g, setup_->pk.h, setup_->pk.e_gg_alpha, nullptr};
+  const PolicyNode policy = PolicyNode::OrOfUsers({"alice"});
+  const Secret plain(ToBytes("reed/hand-made keys"));
+  DeterministicRng r1(404), r2(404);
+  Bytes with_tables = Declassify(
+      abe_->EncryptBytes(setup_->pk, policy, plain, r1), "test: ciphertext");
+  Bytes without = Declassify(abe_->EncryptBytes(bare_pk, policy, plain, r2),
+                             "test: ciphertext");
+  EXPECT_EQ(with_tables, without);
+
+  PrivateKey stripped = alice;
+  stripped.d_lines.reset();
+  for (auto& [attr, comp] : stripped.components) comp.d_lines.reset();
+  EXPECT_TRUE(abe_->DecryptBytes(stripped, with_tables).ConstantTimeEquals(plain));
+  // Stale lines (prepared from another key's points) are not used: with
+  // them the decryption would fail, re-prepared it succeeds.
+  PrivateKey other = abe_->KeyGen(setup_->pk, setup_->mk, {"user:alice"}, rng);
+  PrivateKey stale = alice;
+  stale.d_lines = other.d_lines;
+  AttributeKey& comp = stale.components.at("user:alice");
+  comp.d_lines = other.components.at("user:alice").d_lines;
+  comp.neg_d_prime_lines = other.components.at("user:alice").neg_d_prime_lines;
+  EXPECT_TRUE(abe_->DecryptBytes(stale, with_tables).ConstantTimeEquals(plain));
 }
 
 TEST_F(CpAbeTest, EmptyAttributeSetRejected) {

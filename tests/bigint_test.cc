@@ -7,6 +7,7 @@
 #include "bigint/bigint.h"
 #include "bigint/prime.h"
 #include "crypto/random.h"
+#include "oracles/ladder_pow.h"
 #include "oracles/sos_montgomery.h"
 
 namespace reed::bigint {
@@ -87,22 +88,6 @@ TEST(BigIntTest, InPlaceAddCarryPropagation) {
   BigInt v = (BigInt(1) << 192) - BigInt(1);
   v += BigInt(1);
   EXPECT_EQ(v, BigInt(1) << 192);
-}
-
-TEST(BigIntTest, ShiftRight1InPlaceMatchesShift) {
-  DeterministicRng rng(51);
-  for (int i = 0; i < 30; ++i) {
-    BigInt a = BigInt::RandomBits(rng, 200);
-    BigInt b = a;
-    b.ShiftRight1InPlace();
-    EXPECT_EQ(b, a >> 1);
-  }
-  BigInt zero;
-  zero.ShiftRight1InPlace();
-  EXPECT_TRUE(zero.IsZero());
-  BigInt one(1);
-  one.ShiftRight1InPlace();
-  EXPECT_TRUE(one.IsZero());
 }
 
 TEST(BigIntTest, InverseModOddAndEvenModuliAgree) {
@@ -293,6 +278,90 @@ TEST(MontgomeryTest, KernelSquaresInPlace) {
     for (std::size_t i = 0; i < k; ++i) limbs[i] = a.Limb(i);
     MontMul(limbs, limbs, limbs, n_limbs, MontNPrime(n.Limb(0)), scratch);
     EXPECT_EQ(BigInt::FromLimbs(limbs), oracle::SosMulMont(a, a, n));
+  }
+}
+
+TEST(MontgomeryTest, WindowedPowMatchesLadderOracle) {
+  // The fixed-window PowMont against the bit-by-bit ladder it replaced, on
+  // 512/1024/2048-bit moduli and exponents 0, 1, all ones, single bits and
+  // random values, walked at their own width and at a wider public width.
+  DeterministicRng rng(33);
+  for (std::size_t bits : {512, 1024, 2048}) {
+    SCOPED_TRACE(bits);
+    BigInt n = BigInt::RandomBits(rng, bits - 1) + (BigInt(1) << (bits - 1));
+    if (!n.IsOdd()) n += BigInt(1);
+    Montgomery mont(n);
+    std::vector<BigInt> exps = {BigInt(0), BigInt(1), BigInt(2), BigInt(65537),
+                                (BigInt(1) << bits) - BigInt(1),
+                                BigInt(1) << (bits - 1), BigInt(1) << 63,
+                                BigInt(1) << 64};
+    for (int i = 0; i < 3; ++i) exps.push_back(BigInt::RandomBits(rng, bits));
+    for (const BigInt& base : {BigInt(0), BigInt(1), n - BigInt(1),
+                               BigInt::Random(rng, n)}) {
+      const BigInt base_mont = mont.ToMont(base);
+      for (const BigInt& e : exps) {
+        const BigInt want = oracle::LadderPowMont(mont, base_mont, e);
+        EXPECT_EQ(mont.PowMont(base_mont, e), want) << e.ToHex();
+        EXPECT_EQ(mont.PowMont(base_mont, e, bits + 7), want) << e.ToHex();
+      }
+    }
+    EXPECT_THROW((void)mont.PowMont(mont.ToMont(BigInt(3)), n, bits - 1),
+                 Error);
+  }
+}
+
+TEST(MontgomeryTest, WideOperandsReduceWithoutDivision) {
+  // ToMont folds operands wider than n through MontMul; Sub wraps by mask.
+  DeterministicRng rng(34);
+  for (std::size_t bits : {192, 512, 1024}) {
+    BigInt n = BigInt::RandomBits(rng, bits - 1) + (BigInt(1) << (bits - 1));
+    if (!n.IsOdd()) n += BigInt(1);
+    Montgomery mont(n);
+    for (std::size_t wide : {bits + 1, 2 * bits, 3 * bits + 17}) {
+      BigInt a = BigInt::RandomBits(rng, wide);
+      EXPECT_EQ(mont.FromMont(mont.ToMont(a)), a % n);
+      EXPECT_EQ(mont.Mul(a, a), BigInt::MulMod(a, a, n));
+    }
+    BigInt a = BigInt::Random(rng, n), b = BigInt::Random(rng, n);
+    EXPECT_EQ(mont.Sub(a, b), BigInt::SubMod(a, b, n));
+    EXPECT_EQ(mont.Sub(b, a), BigInt::SubMod(b, a, n));
+    EXPECT_TRUE(mont.Sub(a, a).IsZero());
+  }
+}
+
+TEST(BigIntTest, TryInverseModOddReportsNonUnits) {
+  const BigInt n = BigInt(3 * 5 * 7 * 11 * 13);
+  EXPECT_FALSE(BigInt::TryInverseModOdd(BigInt(0), n).has_value());
+  EXPECT_FALSE(BigInt::TryInverseModOdd(BigInt(21), n).has_value());
+  auto inv = BigInt::TryInverseModOdd(BigInt(4), n);
+  ASSERT_TRUE(inv.has_value());
+  EXPECT_TRUE(BigInt::MulMod(*inv, BigInt(4), n).IsOne());
+  EXPECT_THROW((void)BigInt::TryInverseModOdd(BigInt(3), BigInt(8)), Error);
+
+  // Word-skipping binary GCD against a·a⁻¹ ≡ 1, across widths, with
+  // operands that have long runs of zero bits (whole zero limbs) and with
+  // shared factors.
+  DeterministicRng rng(35);
+  for (std::size_t bits : {61, 64, 65, 512, 1024, 2048}) {
+    BigInt m = BigInt::RandomBits(rng, bits - 1) + (BigInt(1) << (bits - 1));
+    if (!m.IsOdd()) m += BigInt(1);
+    std::vector<BigInt> as = {BigInt(1), BigInt(2), m - BigInt(1),
+                              BigInt(1) << (bits - 2),
+                              (BigInt(1) << (bits - 2)) + BigInt(1)};
+    for (int i = 0; i < 8; ++i) as.push_back(BigInt::Random(rng, m));
+    for (const BigInt& a : as) {
+      auto a_inv = BigInt::TryInverseModOdd(a, m);
+      if (!BigInt::Gcd(a, m).IsOne()) {
+        EXPECT_FALSE(a_inv.has_value());
+        continue;
+      }
+      ASSERT_TRUE(a_inv.has_value());
+      EXPECT_LT(*a_inv, m);
+      EXPECT_TRUE(BigInt::MulMod(*a_inv, a, m).IsOne()) << a.ToHex();
+    }
+    const BigInt shared = m * BigInt(3);
+    EXPECT_FALSE(BigInt::TryInverseModOdd(BigInt(3) * BigInt(7), shared)
+                     .has_value());
   }
 }
 

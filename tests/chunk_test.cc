@@ -5,6 +5,7 @@
 #include "chunk/chunker.h"
 #include "chunk/fingerprint.h"
 #include "crypto/random.h"
+#include "oracles/rabin_split.h"
 
 namespace reed::chunk {
 namespace {
@@ -183,6 +184,51 @@ TEST(RabinChunkerTest, MaxSizeForcedOnIncompressiblePattern) {
   auto refs = chunker.Split(data);
   for (std::size_t i = 0; i + 1 < refs.size(); ++i) {
     EXPECT_EQ(refs[i].length, chunker.options().max_size);
+  }
+}
+
+TEST(RabinChunkerTest, SplitMatchesSlideEveryByteOracle) {
+  // Skipping to min_size − window and reading the outgoing byte from the
+  // input must give the boundaries of the loop that slid every byte:
+  // random, all-zero, max-size-forcing and tiny inputs, several option sets
+  // (including min_size below the window, and a window wider than a chunk).
+  DeterministicRng rng(77);
+  std::vector<Bytes> inputs = {rng.Generate(300 * 1024), Bytes(70 * 1024, 0),
+                               Bytes(90 * 1024, 0xAA), Bytes{},
+                               Bytes{0x42}, rng.Generate(47),
+                               rng.Generate(48), rng.Generate(49),
+                               rng.Generate(2047), rng.Generate(2048),
+                               rng.Generate(2049)};
+  Bytes low_entropy = rng.Generate(200 * 1024);
+  for (auto& b : low_entropy) b &= 0x03;
+  inputs.push_back(low_entropy);
+
+  std::vector<RabinChunker::Options> option_sets = {
+      PaperChunking(8 * 1024), PaperChunking(4 * 1024), PaperChunking(1024),
+      PaperChunking(64)};
+  RabinChunker::Options tight;
+  tight.min_size = 16;
+  tight.max_size = 40;
+  tight.average_size = 32;
+  option_sets.push_back(tight);  // min_size and max_size below the window
+  RabinChunker::Options equal;
+  equal.min_size = equal.max_size = 4096;
+  equal.average_size = 2048;
+  option_sets.push_back(equal);
+
+  for (const RabinChunker::Options& opts : option_sets) {
+    RabinChunker chunker(opts);
+    for (const Bytes& in : inputs) {
+      std::vector<ChunkRef> got = chunker.Split(in);
+      std::vector<ChunkRef> want = oracle::SlideEveryByteSplit(opts, in);
+      ASSERT_EQ(got.size(), want.size())
+          << "min " << opts.min_size << " avg " << opts.average_size
+          << " input " << in.size();
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].offset, want[i].offset);
+        EXPECT_EQ(got[i].length, want[i].length);
+      }
+    }
   }
 }
 

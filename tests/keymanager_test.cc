@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/random.h"
+#include "crypto/sha256.h"
 #include "keymanager/key_manager.h"
 #include "keymanager/mle_key_client.h"
 
@@ -206,6 +207,30 @@ TEST(MleKeyClientTest, AllReplicasDownThrows) {
                             std::vector<std::shared_ptr<net::RpcChannel>>{},
                             MleKeyClient::Options{}),
                Error);
+}
+
+TEST(MleKeyClientTest, PinnedBatchBlindingAndKeys) {
+  // A seeded 256-fingerprint batch: the blinded request bytes (one r draw
+  // per fingerprint, in order) and the MLE keys are pinned from the
+  // per-request blinding path; batch blinding must reproduce both.
+  KeyManager km = MakeManager();
+  Bytes request;
+  auto recording = std::make_shared<net::LocalChannel>(
+      [&km, &request](ByteSpan req) {
+        request.assign(req.begin(), req.end());
+        return km.HandleRequest(req);
+      });
+  MleKeyClient client("alice", km.public_key(), recording, {});
+  DeterministicRng rng(256);
+  std::vector<Secret> keys = client.GetKeys(MakeFingerprints(256, 257), rng);
+  ASSERT_EQ(keys.size(), 256u);
+  Bytes all_keys;
+  for (const Secret& k : keys) Append(all_keys, k.ExposeForCrypto());
+  EXPECT_EQ(client.stats().batches_sent, 1u);
+  EXPECT_EQ(HexEncode(crypto::Sha256::HashToBytes(request)),
+            "388e58822d55c313d9c4bd3869c891f4c6886c48771a9751cc27b8ebc81a540b");
+  EXPECT_EQ(HexEncode(crypto::Sha256::HashToBytes(all_keys)),
+            "a6d6e02bd9ddf93d9663230fd453f583990c65985c76064f18101bc72dfc0248");
 }
 
 TEST(MleKeyClientTest, RateLimitErrorPropagates) {

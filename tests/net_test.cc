@@ -1,6 +1,8 @@
 // Network substrate tests: wire codecs, simulated link timing, RPC
 // channels, and real TCP framing over loopback.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <thread>
@@ -171,6 +173,26 @@ TEST(TcpServerTest, DestructorStopsAcceptor) {
   }
   // After destruction the port no longer accepts connections.
   EXPECT_THROW(TcpTransport::Connect("127.0.0.1", port), NetError);
+}
+
+TEST(TcpTest, ReceiveRejectsOversizedLengthBeforeAllocating) {
+  // A peer announcing 256 MiB + 1 gets a typed NetError from the length
+  // prefix alone; a frame at the cap is still accepted as far as the
+  // header goes (the peer then closes, which is a NetError too).
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  TcpTransport receiver(fds[0]);
+  std::uint8_t header[4];
+  PutU32(header, TcpTransport::kMaxFrameLen + 1);
+  ASSERT_EQ(::write(fds[1], header, 4), 4);
+  try {
+    (void)receiver.Receive();
+    ADD_FAILURE() << "oversized frame accepted";
+  } catch (const NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos);
+  }
+  EXPECT_EQ(TcpTransport::kMaxFrameLen, Reader::kDefaultMaxBlobLen);
+  ::close(fds[1]);
 }
 
 TEST(TcpTest, ConnectToClosedPortFails) {

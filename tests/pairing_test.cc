@@ -8,6 +8,8 @@
 #include "bigint/prime.h"
 #include "crypto/random.h"
 #include "oracles/affine_pairing.h"
+#include "oracles/projective_pairing.h"
+#include "pairing/fixed_base.h"
 #include "pairing/pairing.h"
 
 namespace reed::pairing {
@@ -361,6 +363,157 @@ TEST(PairingTest, FinalExponentiationCombinesLoopValues) {
   Fp2 combined = e.FinalExponentiation(
       e.MillerLoop(p1, q).Pow(k) * e.MillerLoop(p2.Neg(), q));
   EXPECT_EQ(combined, e.Pair(p1, q).Pow(k) * e.Pair(p2, q).Inverse());
+}
+
+// ---------------- prepared lines against the projective oracle ----------------
+
+// The prepared loop (Prepare once, evaluate per Q) must reproduce the loop
+// that evaluated each line as it walked V: raw loop values bit for bit, on
+// the same seeded and degenerate pairs as the affine comparison, with one
+// preparation reused across every Q.
+void ExpectPreparedMatchesProjectiveOracle(const TypeAPairing& e,
+                                           std::uint64_t seed) {
+  const FpField* f = e.field();
+  const G1Point& g = e.generator();
+  DeterministicRng rng(seed);
+  std::vector<G1Point> points = {G1Point(Fp::Zero(f), Fp::Zero(f)),
+                                 G1Point::Infinity(),
+                                 e.HashToGroup(ToBytes("prepared-P"))};
+  points.push_back(points.back().Neg());
+  for (int i = 0; i < 6; ++i) points.push_back(g.ScalarMul(e.RandomScalar(rng)));
+  for (const G1Point& p : points) {
+    const G1Prepared prepared = e.Prepare(p);
+    EXPECT_EQ(prepared.point(), p);
+    for (const G1Point& q : points) {
+      const Fp2 raw = e.MillerLoop(prepared, q);
+      EXPECT_EQ(HexEncode(raw.ToBytes()),
+                HexEncode(oracle::ProjectiveMillerLoop(e, p, q).ToBytes()));
+      EXPECT_EQ(e.MillerLoop(p, q), raw);
+      EXPECT_EQ(e.Pair(p, q), oracle::ProjectivePair(e, p, q));
+    }
+  }
+}
+
+TEST(PairingTest, PreparedLoopMatchesProjectiveOracleDefaultParams) {
+  ExpectPreparedMatchesProjectiveOracle(SharedPairing(), 41);
+}
+
+TEST(PairingTest, PreparedLoopMatchesProjectiveOracleGenerated256BitParams) {
+  ExpectPreparedMatchesProjectiveOracle(SmallPairing(), 42);
+}
+
+TEST(PairingTest, MultiTermLoopIsTheProductOfLoops) {
+  // One loop over several prepared terms (shared squarings) equals the
+  // product of the separate loops bit for bit, including terms that pair
+  // to 1 (infinity) and a non-subgroup point whose lines end early.
+  const TypeAPairing& e = SharedPairing();
+  const FpField* f = e.field();
+  const G1Point& g = e.generator();
+  DeterministicRng rng(44);
+  std::vector<G1Point> firsts = {g.ScalarMul(e.RandomScalar(rng)),
+                                 G1Point(Fp::Zero(f), Fp::Zero(f)),
+                                 g.ScalarMul(e.RandomScalar(rng)),
+                                 G1Point::Infinity()};
+  std::vector<G1Point> seconds = {g.ScalarMul(e.RandomScalar(rng)),
+                                  g.ScalarMul(e.RandomScalar(rng)),
+                                  G1Point::Infinity(),
+                                  g.ScalarMul(e.RandomScalar(rng))};
+  std::vector<G1Prepared> prepared;
+  for (const G1Point& p : firsts) prepared.push_back(e.Prepare(p));
+  std::vector<TypeAPairing::LoopTerm> terms;
+  Fp2 product = Fp2::One(f);
+  for (std::size_t i = 0; i < firsts.size(); ++i) {
+    terms.push_back({&prepared[i], &seconds[i]});
+    product = product * e.MillerLoop(firsts[i], seconds[i]);
+    EXPECT_EQ(e.MillerLoop(std::span<const TypeAPairing::LoopTerm>(terms)),
+              product);
+  }
+  EXPECT_EQ(e.MillerLoop(std::span<const TypeAPairing::LoopTerm>()),
+            Fp2::One(f));
+}
+
+TEST(PairingTest, SymmetricOnSeededPairs) {
+  // CP-ABE evaluates e(D, −C) in place of e(−C, D); the raw loop values
+  // differ, the pairings may not.
+  const TypeAPairing& e = SharedPairing();
+  const G1Point& g = e.generator();
+  DeterministicRng rng(43);
+  for (int i = 0; i < 6; ++i) {
+    G1Point p = g.ScalarMul(e.RandomScalar(rng));
+    G1Point q = g.ScalarMul(e.RandomScalar(rng));
+    EXPECT_EQ(e.Pair(p, q), e.Pair(q, p));
+    EXPECT_EQ(e.FinalExponentiation(e.MillerLoop(e.Prepare(p), q.Neg())),
+              e.FinalExponentiation(e.MillerLoop(q.Neg(), p)));
+  }
+}
+
+// ------------------------- fixed-base tables -------------------------
+
+// Scalars for the fixed-base comparisons: 0, 1, 2, every 16^k up to the
+// top window, r − 1, r, r + 1, and seeded random values below r.
+std::vector<BigInt> FixedBaseScalars(const TypeAPairing& e,
+                                     std::uint64_t seed) {
+  const BigInt& r = e.group_order();
+  std::vector<BigInt> scalars = {BigInt(0), BigInt(1), BigInt(2),
+                                 r - BigInt(1), r, r + BigInt(1)};
+  for (std::size_t bit = 4; bit < r.BitLength(); bit += 4) {
+    scalars.push_back(BigInt(1) << bit);
+    scalars.push_back((BigInt(1) << bit) - BigInt(1));
+  }
+  DeterministicRng rng(seed);
+  for (int i = 0; i < 12; ++i) scalars.push_back(BigInt::Random(rng, r));
+  return scalars;
+}
+
+TEST(FixedBaseTest, G1MatchesScalarMul) {
+  for (const TypeAPairing* e : {&SharedPairing(), &SmallPairing()}) {
+    const G1Point base = e->HashToGroup(ToBytes("fixed-base"));
+    const G1FixedBase table(base, e->group_order());
+    const G1FixedBase row = G1FixedBase::SingleRow(base, e->group_order());
+    EXPECT_EQ(table.base(), base);
+    for (const BigInt& k : FixedBaseScalars(*e, 51)) {
+      const G1Point want = base.ScalarMul(k);
+      EXPECT_EQ(table.Mul(k), want) << k.ToHex();
+      EXPECT_EQ(row.Mul(k), want) << k.ToHex();
+    }
+  }
+}
+
+TEST(FixedBaseTest, GtMatchesPow) {
+  const TypeAPairing& e = SharedPairing();
+  const Fp2 base = e.Pair(e.generator(), e.HashToGroup(ToBytes("gt-base")));
+  const GtFixedBase table(base, e.group_order());
+  for (const BigInt& k : FixedBaseScalars(e, 52)) {
+    EXPECT_EQ(table.Pow(k), base.Pow(k)) << k.ToHex();
+  }
+}
+
+TEST(FixedBaseTest, InfinityBaseGivesInfinity) {
+  const TypeAPairing& e = SharedPairing();
+  const G1FixedBase table(G1Point::Infinity(), e.group_order());
+  EXPECT_TRUE(table.Mul(BigInt(12345)).is_infinity());
+  EXPECT_TRUE(G1FixedBase::SingleRow(G1Point::Infinity(), e.group_order())
+                  .Mul(BigInt(12345))
+                  .is_infinity());
+}
+
+TEST(G1Test, BatchToAffineMatchesPerPointInversion) {
+  const TypeAPairing& e = SharedPairing();
+  const G1Point& g = e.generator();
+  DeterministicRng rng(53);
+  std::vector<JacobianPoint> points = {JacobianPoint{}};
+  JacobianPoint v = JacobianPoint::FromAffine(g);
+  for (int i = 0; i < 5; ++i) {
+    v = JacobianDouble(JacobianAddAffine(v, g.ScalarMul(e.RandomScalar(rng))));
+    points.push_back(v);
+    if (i == 2) points.push_back(JacobianPoint{});
+  }
+  std::vector<G1Point> affine = BatchToAffine(points);
+  ASSERT_EQ(affine.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(affine[i], points[i].ToAffine());
+  }
+  EXPECT_TRUE(BatchToAffine(std::vector<JacobianPoint>(3)).at(1).is_infinity());
 }
 
 }  // namespace

@@ -154,6 +154,106 @@ TEST(BlindSignatureTest, MatchesDirectFdhSignature) {
   EXPECT_TRUE(via_oprf.ConstantTimeEquals(via_direct));
 }
 
+// Fills exactly like an inner DeterministicRng, except that draw number
+// `forced_draw` (counting Fill calls) returns the fixed bytes `forced`.
+class ForcingRng : public crypto::Rng {
+ public:
+  ForcingRng(std::uint64_t seed, std::size_t forced_draw, Bytes forced)
+      : inner_(seed), forced_draw_(forced_draw), forced_(std::move(forced)) {}
+
+  void Fill(MutableByteSpan out) override {
+    if (draws_++ == forced_draw_ && out.size() == forced_.size()) {
+      std::copy(forced_.begin(), forced_.end(), out.begin());
+      return;
+    }
+    inner_.Fill(out);
+  }
+  std::size_t draws() const { return draws_; }
+
+ private:
+  DeterministicRng inner_;
+  std::size_t forced_draw_;
+  Bytes forced_;
+  std::size_t draws_ = 0;
+};
+
+std::vector<Bytes> Fingerprints(std::size_t count) {
+  std::vector<Bytes> fps;
+  for (std::size_t i = 0; i < count; ++i) {
+    fps.push_back(ToBytes("batch-fp-" + std::to_string(i)));
+  }
+  return fps;
+}
+
+TEST(BlindSignatureTest, BlindBatchMatchesPerRequestBlind) {
+  // One inversion for the batch, the same r draws in the same order: every
+  // request equals what Blind would have made, for batches of 1 and 256.
+  RsaKeyPair kp = TestKeyPair();
+  BlindSignatureServer server(kp.priv);
+  BlindSignatureClient client(kp.pub);
+  for (std::size_t count : {std::size_t{1}, std::size_t{256}}) {
+    std::vector<Bytes> fps = Fingerprints(count);
+    std::vector<ByteSpan> spans(fps.begin(), fps.end());
+    DeterministicRng batch_rng(108), single_rng(108);
+    std::vector<BlindedRequest> batch = client.BlindBatch(spans, batch_rng);
+    ASSERT_EQ(batch.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      BlindedRequest single = client.Blind(fps[i], single_rng);
+      EXPECT_EQ(batch[i].blinded, single.blinded);
+      EXPECT_EQ(batch[i].r_inv, single.r_inv);
+      EXPECT_EQ(batch[i].h, single.h);
+    }
+    for (std::size_t i = 0; i < count; i += 51) {
+      EXPECT_NO_THROW((void)client.Unblind(batch[i],
+                                           server.Sign(batch[i].blinded)));
+    }
+  }
+  DeterministicRng rng(109);
+  EXPECT_TRUE(client.BlindBatch({}, rng).empty());
+}
+
+TEST(BlindSignatureTest, BlindBatchRedrawsNonInvertibleR) {
+  // Draw 5 of a 16-request batch is forced to 3p, which shares the factor p
+  // with N: the batch inversion fails, that r alone is redrawn, and every
+  // request still unblinds to the key h^d.
+  RsaKeyPair kp = TestKeyPair();
+  BlindSignatureServer server(kp.priv);
+  BlindSignatureClient client(kp.pub);
+  ForcingRng rng(110, 5,
+                 (kp.priv.p * BigInt(3)).ToBytesPadded(kp.pub.ByteLength()));
+  std::vector<Bytes> fps = Fingerprints(16);
+  std::vector<ByteSpan> spans(fps.begin(), fps.end());
+  std::vector<BlindedRequest> batch = client.BlindBatch(spans, rng);
+  EXPECT_GE(rng.draws(), 17u);  // the forced draw was taken, then replaced
+  for (std::size_t i = 0; i < fps.size(); ++i) {
+    Secret key = client.Unblind(batch[i], server.Sign(batch[i].blinded));
+    BigInt direct = PrivateApply(kp.priv, FullDomainHash(fps[i], kp.pub.n));
+    EXPECT_TRUE(key.ConstantTimeEquals(crypto::Sha256::HashToBytes(
+        direct.ToBytesPadded(kp.pub.ByteLength()))));
+  }
+}
+
+TEST(RsaTest, CachedContextsMatchDirectExponentiation) {
+  // RsaPrivateContext's CRT path (Montgomery-folded m mod p / m mod q,
+  // masked Garner subtraction) against m^d mod n, at 512 and 1024 bits.
+  for (std::size_t bits : {512, 1024}) {
+    DeterministicRng rng(111 + bits);
+    RsaKeyPair kp = GenerateKeyPair(bits, rng);
+    RsaPrivateContext priv(kp.priv);
+    RsaPublicContext pub(kp.pub);
+    std::vector<BigInt> ms = {BigInt(0), BigInt(1), BigInt(2),
+                              kp.pub.n - BigInt(1), kp.priv.p, kp.priv.q};
+    for (int i = 0; i < 6; ++i) ms.push_back(BigInt::Random(rng, kp.pub.n));
+    for (const BigInt& m : ms) {
+      BigInt s = priv.Apply(m);
+      EXPECT_EQ(s, BigInt::PowMod(m, kp.priv.d, kp.pub.n));
+      EXPECT_EQ(pub.Apply(s), m);
+    }
+    EXPECT_THROW((void)priv.Apply(kp.pub.n), Error);
+    EXPECT_THROW((void)pub.Apply(kp.pub.n), Error);
+  }
+}
+
 // --------------------------- key regression ---------------------------
 
 TEST(KeyRegressionTest, UnwindInvertsWind) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Run every bench_fig* binary (plus bench_recovery, bench_loadgen and the
-# pairing/CP-ABE layer rows of bench_ablation_primitives) at --smoke scale
+# pairing/CP-ABE and OPRF/key-regression layer rows of
+# bench_ablation_primitives) at --smoke scale
 # with --json output and merge the results into one document, suitable for
 # diffing against
 # BENCH_baseline.json (see tools/ci/bench_compare.py) or for regenerating
@@ -30,9 +31,9 @@ BENCHES=(bench_fig5_keygen bench_fig6_encryption bench_fig7_updown
          bench_recovery bench_loadgen bench_ablation_primitives)
 
 # Per-bench extra arguments: the ablation suite runs only the layer rows its
-# --json output reports (layers_pairing).
+# --json output reports (layers_pairing, layers_oprf).
 declare -A EXTRA_ARGS=(
-  [bench_ablation_primitives]='--benchmark_filter=^BM_(TatePairing|G1ScalarMul|AbeEncrypt/1|AbeDecrypt/1)$'
+  [bench_ablation_primitives]='--benchmark_filter=^BM_(TatePairing|G1ScalarMul|AbeEncrypt/1|AbeDecrypt/1|OprfClientBlind|OprfManagerSign|OprfClientUnblind|KeyRegressionWind|KeyRegressionUnwind)$'
 )
 
 TMP_DIR="$(mktemp -d)"
