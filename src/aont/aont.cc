@@ -1,10 +1,8 @@
 #include "aont/aont.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "crypto/aes.h"
-#include "crypto/crypto_error.h"
-#include "crypto/sha256.h"
 
 namespace reed::aont {
 
@@ -14,14 +12,6 @@ namespace {
 constexpr std::uint8_t kPublicIv[16] = {'R', 'E', 'E', 'D', '-', 'A', 'O',
                                         'N', 'T', '-', 'M', 'A', 'S', 'K',
                                         '0', '1'};
-
-Bytes HashKeyXorTail(ByteSpan head, ByteSpan key_or_hash) {
-  // t = H(C) ⊕ K (and symmetrically K = H(C) ⊕ t).
-  crypto::Sha256Digest hc = crypto::Sha256::Hash(head);
-  Bytes t(hc.begin(), hc.end());
-  XorInto(t, key_or_hash);
-  return t;
-}
 }  // namespace
 
 Bytes Mask(ByteSpan key, std::size_t length) {
@@ -29,56 +19,6 @@ Bytes Mask(ByteSpan key, std::size_t length) {
   crypto::AesCtr ctr(key, ByteSpan(kPublicIv, sizeof(kPublicIv)));
   ctr.Keystream(out);
   return out;
-}
-
-Bytes AontTransform(ByteSpan message, crypto::Rng& rng) {
-  Bytes key = rng.Generate(kAontKeySize);
-  ScopedWipe wipe_key(key);
-  Bytes package(message.begin(), message.end());
-  XorInto(package, Mask(key, package.size()));  // C = M ⊕ G(K)
-  Append(package, HashKeyXorTail(ByteSpan(package.data(), message.size()), key));
-  return package;
-}
-
-Bytes AontRevert(ByteSpan package) {
-  if (package.size() < kAontTailSize) {
-    throw crypto::CryptoError("AontRevert: package too small");
-  }
-  std::size_t head_len = package.size() - kAontTailSize;
-  ByteSpan head = package.subspan(0, head_len);
-  ByteSpan tail = package.subspan(head_len);
-  Bytes key = HashKeyXorTail(head, tail);  // K = H(C) ⊕ t
-  ScopedWipe wipe_key(key);
-  Bytes message(head.begin(), head.end());
-  XorInto(message, Mask(key, head_len));
-  return message;
-}
-
-Bytes CaontTransform(ByteSpan message) {
-  Bytes key = crypto::Sha256::HashToBytes(message);  // h = H(M)
-  ScopedWipe wipe_key(key);
-  Bytes package(message.begin(), message.end());
-  XorInto(package, Mask(key, package.size()));
-  Append(package, HashKeyXorTail(ByteSpan(package.data(), message.size()), key));
-  return package;
-}
-
-Bytes CaontRevert(ByteSpan package) {
-  if (package.size() < kAontTailSize) {
-    throw crypto::CryptoError("CaontRevert: package too small");
-  }
-  std::size_t head_len = package.size() - kAontTailSize;
-  ByteSpan head = package.subspan(0, head_len);
-  ByteSpan tail = package.subspan(head_len);
-  Bytes key = HashKeyXorTail(head, tail);
-  ScopedWipe wipe_key(key);
-  Bytes message(head.begin(), head.end());
-  XorInto(message, Mask(key, head_len));
-  // CAONT is self-verifying: the recovered message must hash back to h.
-  if (!SecureCompare(crypto::Sha256::HashToBytes(message), key)) {
-    throw crypto::CryptoError("CaontRevert: integrity check failed");
-  }
-  return message;
 }
 
 Bytes SelfXor(ByteSpan data) {

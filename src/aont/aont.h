@@ -1,40 +1,21 @@
-// All-or-nothing transform (Rivest, FSE'97) and its convergent variant
-// CAONT (CDStore, USENIX ATC'15) — the building blocks under REED's
-// encryption schemes (paper §IV-B).
+// Building blocks of the all-or-nothing transform (Rivest, FSE'97) and its
+// convergent variant CAONT (CDStore, USENIX ATC'15) that REED's encryption
+// schemes are assembled from (paper §IV-B; aont/reed_cipher.h).
 //
-// AONT: package = (C, t) with C = M ⊕ G(K) for a random K and
-// t = H(C) ⊕ K. Recovering any part of M requires the *entire* package.
-// CAONT replaces the random K with the message hash H(M), making the
-// package deterministic (dedupable) and self-verifying.
+// AONT: package = (C, t) with C = M ⊕ G(K) and t = H(C) ⊕ K, so recovering
+// any part of M requires the *entire* package. CAONT takes K = H(M), making
+// the package deterministic (dedupable) and self-verifying.
 #pragma once
 
-#include "crypto/random.h"
 #include "util/bytes.h"
 
 namespace reed::aont {
 
-inline constexpr std::size_t kAontKeySize = 32;   // AES-256 key / SHA-256 hash
 inline constexpr std::size_t kAontTailSize = 32;  // |t| = |H(·)| = |K|
 
 // Pseudo-random mask G(K) = E(K, S): the AES-256-CTR keystream over the
 // publicly known constant block S (a fixed IV), truncated to `length`.
 [[nodiscard]] Bytes Mask(ByteSpan key, std::size_t length);
-
-// Rivest AONT with a fresh random key. Package layout: C || t,
-// |package| = |message| + kAontTailSize.
-[[nodiscard]] Bytes AontTransform(ByteSpan message, crypto::Rng& rng);
-
-// Inverts AontTransform. No integrity guarantee (original AONT is unkeyed
-// and unauthenticated) — corrupt packages yield garbage.
-[[nodiscard]] Bytes AontRevert(ByteSpan package);
-
-// CAONT: key = H(message); deterministic, so identical messages produce
-// identical packages.
-[[nodiscard]] Bytes CaontTransform(ByteSpan message);
-
-// Inverts CaontTransform and verifies the embedded hash key against the
-// recovered message; throws Error on tampering.
-[[nodiscard]] Bytes CaontRevert(ByteSpan package);
 
 // Self-XOR tail used by REED's enhanced scheme (after Peterson et al.'s
 // secure-deletion construction): XOR of all kAontTailSize-sized pieces of

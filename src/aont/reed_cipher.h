@@ -19,6 +19,7 @@
 #pragma once
 
 #include "aont/aont.h"
+#include "crypto/random.h"
 #include "util/bytes.h"
 #include "util/secret.h"
 

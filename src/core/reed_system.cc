@@ -86,9 +86,9 @@ std::unique_ptr<client::ReedClient> ReedSystem::CreateClient(
   auto make_channel = [&](server::StorageServer* srv,
                           std::shared_ptr<net::SimulatedLink> link)
       -> std::shared_ptr<net::RpcChannel> {
-    auto handler = [srv](ByteSpan req) { return srv->HandleRequest(req); };
-    if (link) return std::make_shared<net::SimulatedChannel>(handler, link);
-    return std::make_shared<net::LocalChannel>(handler);
+    return std::make_shared<net::LocalChannel>(
+        [srv](ByteSpan req) { return srv->HandleRequest(req); },
+        std::move(link));
   };
 
   // Striped channels per server (DESIGN.md §10): the stripes of a simulated
@@ -116,13 +116,8 @@ std::unique_ptr<client::ReedClient> ReedSystem::CreateClient(
       /*concurrent_fanout=*/options.pipeline.depth > 1);
 
   keymanager::KeyManager* km = key_manager_.get();
-  auto km_handler = [km](ByteSpan req) { return km->HandleRequest(req); };
-  std::shared_ptr<net::RpcChannel> km_channel;
-  if (km_link_) {
-    km_channel = std::make_shared<net::SimulatedChannel>(km_handler, km_link_);
-  } else {
-    km_channel = std::make_shared<net::LocalChannel>(km_handler);
-  }
+  auto km_channel = std::make_shared<net::LocalChannel>(
+      [km](ByteSpan req) { return km->HandleRequest(req); }, km_link_);
   auto keys = std::make_shared<keymanager::MleKeyClient>(
       user_id, key_manager_->public_key(), std::move(km_channel),
       options.key_options);

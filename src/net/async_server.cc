@@ -235,8 +235,7 @@ void AsyncServer::RunLoop(std::size_t index) {
 
 void AsyncServer::HandleAccept(Loop& loop) {
   static obs::Counter* accepted = &NamedCounter("server.net.conns_accepted");
-  // Satellite of the accept-loop hygiene pass: accept failures on the async
-  // path are counted, mirroring TcpServer's errors.swallowed.net_accept.
+  // Accept failures are counted, not thrown: the loop has no caller.
   static obs::Counter* accept_errors =
       &NamedCounter("errors.swallowed.net_async_accept");
   for (;;) {

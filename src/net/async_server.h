@@ -1,5 +1,6 @@
-// Epoll-based async RPC front end: the massive-client alternative to
-// TcpServer's thread-per-connection model (DESIGN.md §13).
+// Epoll-based async RPC front end: the one server front end. Both daemons,
+// the TCP example and the benchmark serve every role through it
+// (DESIGN.md §13).
 //
 // N event-loop threads each own an epoll instance; accepted fds are sharded
 // across loops round-robin and every per-connection structure is touched by
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "net/rpc.h"
+#include "net/tcp.h"
 #include "obs/metrics.h"
 #include "util/rate_limiter.h"
 #include "util/thread_annotations.h"
@@ -51,11 +53,11 @@ class AsyncServer {
   static constexpr std::uint8_t kTenantTag = 0xE7;
 
   struct Options {
-    std::size_t loops = 1;    // event-loop threads
+    std::size_t loops = 2;    // event-loop threads
     std::size_t workers = 4;  // handler ThreadPool threads
-    // Claimed frame length above this closes the connection (mirrors
-    // TcpTransport::Receive's 1 GiB cap).
-    std::uint32_t max_frame_len = 1u << 30;
+    // Claimed frame length above this closes the connection before anything
+    // is buffered for it: the same cap TcpTransport::Receive applies.
+    std::uint32_t max_frame_len = TcpTransport::kMaxFrameLen;
     // Backpressure: queued-but-unwritten response bytes per connection.
     std::size_t max_outbox_bytes = std::size_t{1} << 30;
     // Connections with no read/write progress for this long are closed;

@@ -59,10 +59,6 @@ TcpTransport& TcpTransport::operator=(TcpTransport&& other) noexcept {
   return *this;
 }
 
-void TcpTransport::Shutdown() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 TcpTransport TcpTransport::Connect(const std::string& host, std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) ThrowErrno("socket");
@@ -135,21 +131,6 @@ TcpListener::TcpListener(std::uint16_t port, int backlog) {
 
 TcpListener::~TcpListener() {
   if (fd_ >= 0) ::close(fd_);
-}
-
-void TcpListener::Shutdown() {
-  // shutdown() on a listening socket makes pending and future accept()
-  // calls fail (EINVAL on Linux) without closing the fd out from under a
-  // concurrently blocked acceptor thread.
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-TcpTransport TcpListener::Accept() {
-  int fd = ::accept(fd_, nullptr, nullptr);
-  if (fd < 0) ThrowErrno("accept");
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return TcpTransport(fd);
 }
 
 }  // namespace reed::net

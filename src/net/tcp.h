@@ -1,4 +1,6 @@
-// Blocking TCP transport with u32 length-prefixed frames.
+// Blocking TCP transport with u32 length-prefixed frames: the client side
+// of the wire. The server side is net::AsyncServer, which speaks the same
+// framing over non-blocking sockets from a TcpListener's fd.
 //
 // The simulated link reproduces the paper's testbed *shapes*; this real
 // socket transport is what a deployment would use between REED clients,
@@ -44,11 +46,6 @@ class TcpTransport {
   // prefix above kMaxFrameLen before allocating anything for it.
   [[nodiscard]] Bytes Receive();
 
-  // Half-closes both directions so a blocked Send/Receive on another thread
-  // fails promptly. Safe to call concurrently with Send/Receive; the fd
-  // itself stays open until destruction (no fd-reuse races).
-  void Shutdown();
-
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
 
  private:
@@ -68,15 +65,9 @@ class TcpListener {
 
   std::uint16_t port() const { return port_; }
 
-  // The listening socket, for callers that multiplex accepts themselves
-  // (AsyncServer registers it with epoll). Ownership stays here.
+  // The listening socket; AsyncServer registers it with epoll and accepts
+  // on it itself. Ownership stays here.
   [[nodiscard]] int fd() const { return fd_; }
-
-  [[nodiscard]] TcpTransport Accept();
-
-  // Unblocks a concurrent Accept() (it throws NetError). Used for clean
-  // server shutdown without the connect-to-self trick.
-  void Shutdown();
 
  private:
   int fd_;

@@ -1,5 +1,5 @@
-// Tests for AONT/CAONT and the REED basic/enhanced encryption schemes —
-// determinism (dedupability), round-trips, tamper detection, stub
+// Tests for the AONT building blocks and the REED basic/enhanced encryption
+// schemes — determinism (dedupability), round-trips, tamper detection, stub
 // properties, and the MLE-key-leakage distinction between the schemes.
 #include <gtest/gtest.h>
 
@@ -24,50 +24,6 @@ Bytes TestKeyBytes(std::uint64_t seed = 2) {
 }
 
 Secret TestKey(std::uint64_t seed = 2) { return Secret(TestKeyBytes(seed)); }
-
-// --------------------------- AONT / CAONT ---------------------------
-
-TEST(AontTest, RoundTrip) {
-  DeterministicRng rng(3);
-  Bytes msg = TestChunk(1000);
-  Bytes package = AontTransform(msg, rng);
-  EXPECT_EQ(package.size(), msg.size() + kAontTailSize);
-  EXPECT_EQ(AontRevert(package), msg);
-}
-
-TEST(AontTest, RandomizedPackagesDiffer) {
-  DeterministicRng rng(4);
-  Bytes msg = TestChunk(500);
-  EXPECT_NE(AontTransform(msg, rng), AontTransform(msg, rng));
-}
-
-TEST(AontTest, RejectsTinyPackage) {
-  EXPECT_THROW(AontRevert(Bytes(16, 0)), Error);
-}
-
-TEST(CaontTest, DeterministicPackages) {
-  Bytes msg = TestChunk(500);
-  EXPECT_EQ(CaontTransform(msg), CaontTransform(msg));
-  EXPECT_NE(CaontTransform(msg), CaontTransform(TestChunk(500, 99)));
-}
-
-TEST(CaontTest, RoundTripAndIntegrity) {
-  Bytes msg = TestChunk(4096);
-  Bytes package = CaontTransform(msg);
-  EXPECT_EQ(CaontRevert(package), msg);
-  package[100] ^= 1;
-  EXPECT_THROW(CaontRevert(package), Error);
-}
-
-TEST(CaontTest, AllOrNothingProperty) {
-  // Flipping any single region of the package corrupts the whole revert.
-  Bytes msg = TestChunk(300);
-  for (std::size_t pos : {std::size_t{0}, std::size_t{150}, msg.size() + 10}) {
-    Bytes package = CaontTransform(msg);
-    package[pos] ^= 0xFF;
-    EXPECT_THROW(CaontRevert(package), Error) << "pos=" << pos;
-  }
-}
 
 TEST(SelfXorTest, KnownValues) {
   Bytes data(64, 0xAB);  // two identical pieces cancel

@@ -6,11 +6,11 @@
 // frame-reassembly buffer and the serial per-connection dispatch without any
 // TCP nondeterminism. The behavioural tests (backpressure, idle sweep,
 // tenant admission, slow readers) go over real loopback TCP because they
-// depend on socket-buffer dynamics. The stress test runs the same
-// deterministic client tapes against a thread-per-connection TcpServer and
-// an AsyncServer backed by separate StorageServers and requires
-// byte-identical transcripts plus equal package digests — the async front
-// end must be a pure transport swap.
+// depend on socket-buffer dynamics. The stress test runs deterministic
+// client tapes concurrently through an AsyncServer and, as the reference,
+// one after another straight into the handler of a separate StorageServer,
+// and requires byte-identical transcripts plus equal package digests — the
+// front end must be a pure transport.
 
 #include "net/async_server.h"
 
@@ -28,7 +28,6 @@
 #include "gtest/gtest.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "net/tcp_server.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "server/storage_server.h"
@@ -87,6 +86,10 @@ Bytes ReadFrameFd(int fd) {
 
 // Waits (bounded) for an fd to hit EOF, discarding any pending bytes.
 bool WaitForEof(int fd) {
+  // A receive timeout wakes the blocking read so the deadline is checked
+  // even when the server never answers or closes.
+  timeval tick{0, 100 * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof(tick));
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::array<char, 4096> buf;
   while (std::chrono::steady_clock::now() < deadline) {
@@ -172,21 +175,37 @@ TEST(AsyncServerTest, TornFrameNeverDispatches) {
   EXPECT_EQ(CounterValue("server.net.frames_dispatched"), dispatched_before);
 }
 
-TEST(AsyncServerTest, OversizedFrameClosesConnection) {
+// Sends only a length prefix claiming `claimed` bytes on an adopted
+// socketpair; the server must close the connection without waiting for the
+// body and count the oversized frame.
+void ExpectOversizedPrefixCloses(AsyncServer& server, std::uint32_t claimed) {
   std::uint64_t oversize_before = CounterValue("server.net.frame_oversize");
-  AsyncServer::Options options;
-  options.max_frame_len = 1024;
-  AsyncServer server(0, EchoHandler, options);
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   server.Adopt(sv[0]);
 
   Bytes wire;
-  AppendU32(wire, 4096);  // over the configured cap; never sent in full
+  AppendU32(wire, claimed);
   WriteAllFd(sv[1], wire);
   EXPECT_TRUE(WaitForEof(sv[1]));
   ::close(sv[1]);
   EXPECT_GE(CounterValue("server.net.frame_oversize"), oversize_before + 1);
+}
+
+TEST(AsyncServerTest, OversizedFrameClosesConnection) {
+  AsyncServer::Options options;
+  options.max_frame_len = 1024;
+  AsyncServer server(0, EchoHandler, options);
+  ExpectOversizedPrefixCloses(server, 4096);  // over the configured cap
+}
+
+// The default cap is the client's own: a length prefix one past
+// TcpTransport::kMaxFrameLen closes the connection before the server buffers
+// anything for it, exactly where TcpTransport::Receive would refuse it.
+TEST(AsyncServerTest, DefaultFrameCapMatchesTransportCap) {
+  EXPECT_EQ(AsyncServer::Options().max_frame_len, TcpTransport::kMaxFrameLen);
+  AsyncServer server(0, EchoHandler);
+  ExpectOversizedPrefixCloses(server, TcpTransport::kMaxFrameLen + 1);
 }
 
 // A forged blob length *inside* a small frame must be rejected by the
@@ -295,13 +314,15 @@ TEST(AsyncServerTest, TenantAdmissionThrottlesPerTenant) {
   EXPECT_GE(CounterValue("server.net.throttled"), throttled_before + 1);
 }
 
-// --- differential stress: async front end vs thread-per-connection ---
+// --- differential stress: async front end vs a serial handler replay ---
 //
 // Runs under TSan in the concurrency lane (tests/CMakeLists.txt widens its
-// budget there): many client threads, two server stacks, one shared
-// StorageServer implementation. Each client replays a deterministic op tape
-// and records every response; the transcripts and the final package digests
-// must match between the two front ends exactly.
+// budget there): many client threads against one AsyncServer, and the same
+// tapes replayed one client after another through a LocalChannel on a
+// separate StorageServer. Each client replays a deterministic op tape and
+// records every response; no recorded response depends on how the clients
+// interleave, so the transcripts and the final package digests must match
+// the serial replay exactly.
 
 Bytes ClientChunk(unsigned client, unsigned i, unsigned j) {
   Bytes data = ToBytes("chunk-c" + std::to_string(client) + "-i" +
@@ -310,13 +331,12 @@ Bytes ClientChunk(unsigned client, unsigned i, unsigned j) {
   return data;
 }
 
-// One client's scripted session against `port`; returns every response
+// One client's scripted session over `channel`; returns every response
 // frame in order. Shared chunks (same bytes from every client) race the
 // dedup path, so their PutChunks *responses* are schedule-dependent and are
 // deliberately not recorded — the GetChunks payloads that follow are.
-std::vector<Bytes> RunClientTape(std::uint16_t port, unsigned client) {
+std::vector<Bytes> RunClientTape(RpcChannel& channel, unsigned client) {
   std::vector<Bytes> transcript;
-  auto channel = TcpChannel(TcpTransport::Connect("127.0.0.1", port));
   for (unsigned i = 0; i < 8; ++i) {
     // Private object: put, then read back.
     std::string name = "c" + std::to_string(client) + "-obj" + std::to_string(i);
@@ -362,34 +382,36 @@ std::vector<Bytes> RunClientTape(std::uint16_t port, unsigned client) {
   return transcript;
 }
 
+// Every client on its own connection, all at once.
 std::vector<std::vector<Bytes>> RunAllClients(std::uint16_t port,
                                               unsigned clients) {
   std::vector<std::vector<Bytes>> transcripts(clients);
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (unsigned c = 0; c < clients; ++c) {
-    threads.emplace_back(
-        [&, c] { transcripts[c] = RunClientTape(port, c); });
+    threads.emplace_back([&, c] {
+      TcpChannel channel(TcpTransport::Connect("127.0.0.1", port));
+      transcripts[c] = RunClientTape(channel, c);
+    });
   }
   for (std::thread& t : threads) t.join();
   return transcripts;
 }
 
-TEST(AsyncServerStressTest, ByteIdenticalWithThreadPerConnection) {
+TEST(AsyncServerStressTest, ByteIdenticalWithSerialReplay) {
   constexpr unsigned kClients = 8;
 
   StorageServer serial_storage("stress-serial");
-  TcpServer serial_server(
-      0, [&](ByteSpan request) { return serial_storage.HandleRequest(request); });
-  auto serial = RunAllClients(serial_server.port(), kClients);
+  LocalChannel serial_channel(
+      [&](ByteSpan request) { return serial_storage.HandleRequest(request); });
+  std::vector<std::vector<Bytes>> serial;
+  for (unsigned c = 0; c < kClients; ++c) {
+    serial.push_back(RunClientTape(serial_channel, c));
+  }
 
   StorageServer async_storage("stress-async");
-  AsyncServer::Options options;
-  options.loops = 2;
-  options.workers = 4;
   AsyncServer async_server(
-      0, [&](ByteSpan request) { return async_storage.HandleRequest(request); },
-      options);
+      0, [&](ByteSpan request) { return async_storage.HandleRequest(request); });
   auto async = RunAllClients(async_server.port(), kClients);
 
   ASSERT_EQ(serial.size(), async.size());

@@ -2,7 +2,7 @@
 //
 // These tests exist to give TSan (and ASan) interleavings to chew on:
 // every shared component that the multi-threaded client/server paths use —
-// ThreadPool, LruCache, TokenBucket, TcpServer — is hammered from many
+// ThreadPool, LruCache, TokenBucket, AsyncServer — is hammered from many
 // threads at once. Under TSan everything runs 5-15x slower, so iteration
 // counts scale down when REED_TSAN is defined (set by the build when
 // REED_SANITIZE=thread).
@@ -18,8 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "net/async_server.h"
 #include "net/tcp.h"
-#include "net/tcp_server.h"
 #include "util/lru_cache.h"
 #include "util/rate_limiter.h"
 #include "util/thread_pool.h"
@@ -171,9 +171,9 @@ Bytes EchoRequest(int client, int seq) {
   return Bytes(s.begin(), s.end());
 }
 
-TEST(TcpServerStress, ManyConcurrentClients) {
+TEST(FrontEndStress, ManyConcurrentClients) {
   std::atomic<std::uint64_t> served{0};
-  net::TcpServer server(0, [&served](ByteSpan req) {
+  net::AsyncServer server(0, [&served](ByteSpan req) {
     served.fetch_add(1, std::memory_order_relaxed);
     return Bytes(req.begin(), req.end());  // echo
   });
@@ -203,16 +203,16 @@ TEST(TcpServerStress, ManyConcurrentClients) {
                                static_cast<std::uint64_t>(kRequests));
 }
 
-TEST(TcpServerStress, DestructionWithLiveConnections) {
+TEST(FrontEndStress, DestructionWithLiveConnections) {
   // Clients connect, make one call, then sit blocked in Receive() while the
-  // server is destroyed. The old implementation detached session threads
-  // here, leaving them to race the destroyed handler; the rewrite must shut
-  // every session down and join it.
+  // server is destroyed. Teardown must close every live connection (so each
+  // blocked client sees the peer go away) and join every loop and worker
+  // before the handler it captures is gone.
   for (int round = 0; round < 3 * kScale; ++round) {
     std::vector<std::thread> clients;
     std::atomic<int> disconnected{0};
     {
-      auto server = std::make_unique<net::TcpServer>(0, [](ByteSpan req) {
+      auto server = std::make_unique<net::AsyncServer>(0, [](ByteSpan req) {
         return Bytes(req.begin(), req.end());
       });
       std::atomic<int> ready{0};
@@ -232,17 +232,18 @@ TEST(TcpServerStress, DestructionWithLiveConnections) {
         });
       }
       while (ready.load() < kClients) std::this_thread::yield();
-      server.reset();  // must unblock and join every session
+      server.reset();  // must close every connection and join every thread
     }
     for (auto& t : clients) t.join();
     EXPECT_EQ(disconnected.load(), 4);
   }
 }
 
-TEST(TcpServerStress, ChurningClientsWhileServing) {
+TEST(FrontEndStress, ChurningClientsWhileServing) {
   // Connection churn: short-lived clients connecting/disconnecting while
-  // others are mid-conversation exercises session reaping in the accept loop.
-  net::TcpServer server(0, [](ByteSpan req) {
+  // others are mid-conversation exercises connection registration and
+  // teardown across the event loops.
+  net::AsyncServer server(0, [](ByteSpan req) {
     return Bytes(req.begin(), req.end());
   });
   const int kChurners = 6;

@@ -252,7 +252,7 @@ TEST(FaultSweepTest, PartialFanoutPutChunksLeavesRetryableState) {
 // Async front-end sweep: the four net.async.* sites live on AsyncServer's
 // event-loop threads behind real sockets, so they get their own drive (a
 // TcpChannel round trip against an in-process AsyncServer) instead of the
-// SimulatedChannel drive above. The contract per site: the client observes a
+// LocalChannel drive above. The contract per site: the client observes a
 // typed NetError (the connection is the blast radius — it closes), the
 // fault.<site>.fired counter proves the injection, the server's net gauges
 // drain back to zero, the storage state stays consistent, and a disarmed

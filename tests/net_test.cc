@@ -1,5 +1,5 @@
 // Network substrate tests: wire codecs, simulated link timing, RPC
-// channels, and real TCP framing over loopback.
+// channels, and real TCP framing over loopback against AsyncServer.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -7,10 +7,10 @@
 #include <atomic>
 #include <thread>
 
+#include "net/async_server.h"
 #include "net/link.h"
 #include "net/rpc.h"
 #include "net/tcp.h"
-#include "net/tcp_server.h"
 #include "net/wire.h"
 #include "util/stopwatch.h"
 
@@ -112,38 +112,30 @@ TEST(RpcChannelTest, LocalChannelInvokesHandler) {
   EXPECT_EQ(channel.Call(ToBytes("hi")), ToBytes("echo:hi"));
 }
 
-TEST(RpcChannelTest, SimulatedChannelChargesBothDirections) {
+TEST(RpcChannelTest, LinkedLocalChannelChargesBothDirections) {
   auto link = std::make_shared<SimulatedLink>(0, 0);  // accounting only
-  SimulatedChannel channel([](ByteSpan) { return Bytes(100, 0); }, link);
+  LocalChannel channel([](ByteSpan) { return Bytes(100, 0); }, link);
   (void)channel.Call(Bytes(50, 0));
   EXPECT_EQ(link->total_bytes(), 150u);
 }
 
 TEST(TcpTest, FramedEchoOverLoopback) {
-  TcpListener listener(0);
-  std::thread server([&] {
-    TcpTransport conn = listener.Accept();
-    ServeTransport(std::move(conn), [](ByteSpan req) {
-      Bytes resp = ToBytes("ok:");
-      Append(resp, req);
-      return resp;
-    });
+  AsyncServer server(0, [](ByteSpan req) {
+    Bytes resp = ToBytes("ok:");
+    Append(resp, req);
+    return resp;
   });
 
-  {
-    TcpTransport client = TcpTransport::Connect("127.0.0.1", listener.port());
-    TcpChannel channel(std::move(client));
-    EXPECT_EQ(channel.Call(ToBytes("ping")), ToBytes("ok:ping"));
-    // Large frame crosses multiple TCP segments.
-    Bytes big(1 << 20, 0x42);
-    Bytes resp = channel.Call(big);
-    EXPECT_EQ(resp.size(), big.size() + 3);
-  }  // closing the client ends the server loop
-  server.join();
+  TcpChannel channel(TcpTransport::Connect("127.0.0.1", server.port()));
+  EXPECT_EQ(channel.Call(ToBytes("ping")), ToBytes("ok:ping"));
+  // Large frame crosses multiple TCP segments.
+  Bytes big(1 << 20, 0x42);
+  Bytes resp = channel.Call(big);
+  EXPECT_EQ(resp.size(), big.size() + 3);
 }
 
-TEST(TcpServerTest, ServesMultipleConcurrentClients) {
-  TcpServer server(0, [](ByteSpan req) {
+TEST(FrontEndTest, ServesMultipleConcurrentClients) {
+  AsyncServer server(0, [](ByteSpan req) {
     Bytes resp = ToBytes("srv:");
     Append(resp, req);
     return resp;
@@ -165,10 +157,10 @@ TEST(TcpServerTest, ServesMultipleConcurrentClients) {
   EXPECT_EQ(ok.load(), 40);
 }
 
-TEST(TcpServerTest, DestructorStopsAcceptor) {
+TEST(FrontEndTest, DestructorStopsAcceptor) {
   std::uint16_t port;
   {
-    TcpServer server(0, [](ByteSpan req) { return Bytes(req.begin(), req.end()); });
+    AsyncServer server(0, [](ByteSpan req) { return Bytes(req.begin(), req.end()); });
     port = server.port();
   }
   // After destruction the port no longer accepts connections.

@@ -6,12 +6,13 @@
 // On first start it generates the system-wide RSA key pair and persists it
 // to --state; subsequent starts (or replicas for availability) reload the
 // same pair. The public key is written to --pubkey-out for distribution to
-// clients.
+// clients. Requests are served by the epoll front end (DESIGN.md §13) with
+// its default shape.
 #include <csignal>
 #include <cstdio>
 
 #include "keymanager/key_manager.h"
-#include "net/tcp_server.h"
+#include "net/async_server.h"
 #include "tools/cli_util.h"
 
 using namespace reed;
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
     cli::WriteFile(pub_path, rsa::SerializePublicKey(keys.pub));
 
     keymanager::KeyManager manager(std::move(keys), opts);
-    net::TcpServer server(
+    net::AsyncServer server(
         port, [&manager](ByteSpan req) { return manager.HandleRequest(req); });
     std::printf("reed_keymanagerd listening on 127.0.0.1:%u "
                 "(public key: %s, rate limit: %s)\n",
